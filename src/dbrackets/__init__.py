@@ -17,7 +17,7 @@ from .dbracket import (AntisymReport, CompositeAuto, DoubleBracket, JacVerdict,
                        SwapAuto, Tensor2Auto, TwistPairAuto, apply_equivalence,
                        bracket_left, bracket_pair_left, bracket_pair_right,
                        bracket_right, bullet_bracket, check_antisymmetry,
-                       check_morphism, eval_bracket, eval_bracket_star_first,
+                       check_morphism, eval_bracket,
                        is_poisson, is_weak_poisson, jacobiator,
                        jacobiator_form, lie_on_necklaces, loday_defect,
                        mult_bracket, permute_args, swap_equivalent,
@@ -26,8 +26,8 @@ from .dbracket import (AntisymReport, CompositeAuto, DoubleBracket, JacVerdict,
 from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Necklace, Tensor2, Tensor3,
                       apply_endo, apply_endo_tensor2, apply_endo_tensor3,
                       necklace_project, perm_compose, perm_invert, poly_mul,
-                      tensor2_alg_mul, tensor3_perm, tensor_swap,
-                      transposition, word_reversal)
+                      tensor2_alg_mul, tensor3_perm, transposition,
+                      word_reversal)
 from .gradient import (ClassifyReport, classify, double_derivation,
                        family_polynomial, gradient_bracket,
                        gradient_bracket_unchecked, gradient_gen_table,

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .freealg import AlgEndo, FreeAlgebra, NCPoly, Tensor2, _tadd, tensor_swap
+from .freealg import AlgEndo, FreeAlgebra, NCPoly, Tensor2, _tadd
 
 
 class BimodKind(enum.Enum):
@@ -162,7 +162,7 @@ def check_swap_commuting(action, degree_bound: int = 3, *,
         fwd = action
 
     def star(a, d, b):
-        return tensor_swap(fwd(a, tensor_swap(d), b))
+        return fwd(a, d.swap(), b).swap()
 
     def violated(a1, a2, b1, b2, d):
         lhs = fwd(a1, star(a2, d, b2), b1)

@@ -5,8 +5,10 @@ stdin with ``-``); ``dbrackets ybe ...`` and ``dbrackets gradient ...``
 expose the matrix Yang-Baxter checks and the gradient-bracket classifier
 directly.  Exit codes: 0 when every check passed, 1 when some check
 produced a counterexample (printed with its witness), 2 on usage or parse
-errors.  Output is deterministic for identical input bytes; ``--format kv``
-switches to key=value lines for machines.
+errors, 3 when a computation failed for any other reason (an ``error:``
+line names the exception; no traceback is printed).  Output is
+deterministic for identical input bytes; ``--format kv`` switches to
+key=value lines for machines.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .repspace import (entry_name, induce, jacobi_sweep, matrix_tensor_bracket,
 from .ybe import (MatTensor2, check_entry_jacobi, cybe_defect, entry_bracket,
                   format_mat_tensor2, parse_mat_tensor2, standard_r)
 
-OK, FAIL, USAGE = 0, 1, 2
+OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 class CommandError(ValueError):
@@ -173,7 +175,7 @@ def _cmd_rep(session, args, rep):
         r = jacobi_sweep(ps)
         rep.say(str(r))
         if rep.fmt == "kv":
-            rep.lines.extend(r.kv_lines(ps.alg))
+            rep.lines.extend(r.kv_lines())
         rep.outcome(r.holds)
     elif what == "trace-bracket":
         pos, _ = _opts(rest, {})
@@ -245,8 +247,7 @@ def _cmd_ybe(args, rep):
               "holds": str(report.holds).lower()}
         if not report.holds:
             kv["witness"] = ",".join(str(v) for v in report.witness)
-            kv["defect"] = report.defect.to_str(
-                lambda v: f"v[{v[1]},{v[2]}]")
+            kv["defect"] = report.defect.to_str(report.format_var)
         rep.say(str(report), **kv)
         rep.outcome(report.holds)
     else:
@@ -322,10 +323,17 @@ def run_text(text: str, fmt: str = "plain") -> tuple:
     """Parse and run a session given as text; return (report text, exit code)."""
     try:
         session = parse_session(text)
-        out, code = run(session, fmt)
-    except (ParseError, CommandError, ValueError, OSError) as exc:
-        return f"error: {exc}\n", USAGE
-    return out, code
+        return run(session, fmt)
+    except Exception as exc:  # the CLI boundary: never exit 1 on a crash
+        message, code = _failure(exc)
+        return message + "\n", code
+
+
+def _failure(exc: Exception) -> tuple:
+    """The ``error:`` line and exit code for an exception at the CLI."""
+    if isinstance(exc, (ParseError, CommandError, ValueError, OSError)):
+        return f"error: {exc}", USAGE
+    return f"error: internal failure ({type(exc).__name__}): {exc}", INTERNAL
 
 
 def main(argv=None) -> int:
@@ -363,9 +371,10 @@ def main(argv=None) -> int:
             _cmd_ybe(ns.args, rep)
         else:
             _cmd_gradient(ns.args, rep)
-    except (CommandError, ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    except Exception as exc:  # the CLI boundary: never exit 1 on a crash
+        message, code = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
     sys.stdout.write(rep.text())
     return FAIL if rep.failed else OK
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .freealg import LinComb, _tadd
+
 
 def _mono_mul(m1, m2):
     if not m1:
@@ -24,10 +26,15 @@ def _mono_mul(m1, m2):
     return tuple(sorted(out.items(), key=lambda it: it[0]))
 
 
-class CPoly:
+def _mono_order(m):
+    return (sum(e for _, e in m), m)
+
+
+class CPoly(LinComb):
     """A finite rational linear combination of commutative monomials."""
 
     __slots__ = ("terms",)
+    _key_order = staticmethod(_mono_order)
 
     def __init__(self, terms: Optional[dict] = None):
         self.terms = terms if terms is not None else {}
@@ -49,59 +56,20 @@ class CPoly:
     def var(v, exp: int = 1) -> "CPoly":
         return CPoly({((v, exp),): Fraction(1)}) if exp else CPoly.one()
 
-    def __add__(self, other):
-        data = dict(self.terms)
-        for m, c in other.terms.items():
-            s = data.get(m, Fraction(0)) + c
-            if s:
-                data[m] = s
-            elif m in data:
-                del data[m]
-        return CPoly(data)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CPoly({m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if not isinstance(other, CPoly):
             return self.scale(other)
         data = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = data.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    data[m] = s
-                elif m in data:
-                    del data[m]
+                _tadd(data, _mono_mul(m1, m2), c1 * c2)
         return CPoly(data)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def scale(self, scalar) -> "CPoly":
-        s = Fraction(scalar)
-        if not s:
-            return CPoly.zero()
-        return CPoly({m: c * s for m, c in self.terms.items()})
 
     def __pow__(self, n: int):
         out = CPoly.one()
         for _ in range(n):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, CPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=-1)
@@ -120,55 +88,28 @@ class CPoly:
                 if w == v:
                     rest = m[:idx] + ((w, e - 1),) + m[idx + 1:] if e > 1 \
                         else m[:idx] + m[idx + 1:]
-                    s = data.get(rest, Fraction(0)) + c * e
-                    if s:
-                        data[rest] = s
-                    elif rest in data:
-                        del data[rest]
+                    _tadd(data, rest, c * e)
                     break
         return CPoly(data)
 
     def substitute(self, mapping: Callable) -> "CPoly":
         """Ring homomorphism determined by variable images mapping(v) -> CPoly."""
-        out = CPoly.zero()
+        data = {}
         for m, c in self.terms.items():
             term = CPoly.const(c)
             for v, e in m:
                 img = mapping(v)
                 for _ in range(e):
                     term = term * img
-            out = out + term
-        return out
-
-    def sorted_terms(self):
-        def key(item):
-            m, _ = item
-            return (sum(e for _, e in m), m)
-        return sorted(self.terms.items(), key=key)
+            term.add_into(data)
+        return CPoly(data)
 
     def to_str(self, var_repr: Callable = str) -> str:
-        parts = []
-        for m, c in self.sorted_terms():
-            body = "*".join(
-                f"{var_repr(v)}^{e}" if e > 1 else var_repr(v) for v, e in m)
-            mag = -c if c < 0 else c
-            if not body:
-                txt = str(mag)
-            elif mag == 1:
-                txt = body
-            else:
-                txt = f"{mag}*{body}"
-            if not parts:
-                parts.append(f"-{txt}" if c < 0 else txt)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + txt)
-        return " ".join(parts) if parts else "0"
+        return self._format(lambda m: "*".join(
+            f"{var_repr(v)}^{e}" if e > 1 else var_repr(v) for v, e in m))
 
     def __str__(self):
         return self.to_str()
-
-    def __repr__(self):
-        return f"<CPoly {self}>"
 
 
 def poisson_biderivation(table: Callable, f: CPoly, g: CPoly,
@@ -180,7 +121,7 @@ def poisson_biderivation(table: Callable, f: CPoly, g: CPoly,
     ``twist`` is provided it is applied to both partial derivatives, which
     realises the twisted Leibniz rules {f, gh} = t(g){f,h} + {f,g}t(h).
     """
-    out = CPoly.zero()
+    data = {}
     for v in sorted(f.variables()):
         fv = f.partial(v)
         if fv.is_zero():
@@ -196,5 +137,5 @@ def poisson_biderivation(table: Callable, f: CPoly, g: CPoly,
             br = table(v, w)
             if br.is_zero():
                 continue
-            out = out + fv * gw * br
-    return out
+            (fv * gw * br).add_into(data)
+    return CPoly(data)

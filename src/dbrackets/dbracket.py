@@ -12,6 +12,7 @@ cyclic words.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,28 +121,6 @@ class DoubleBracket:
     def is_zero(self) -> bool:
         return all(d.is_zero() for d in self.gen_table.values())
 
-    # method facade over the module-level operations
-    def eval(self, a, b):
-        return eval_bracket(self, a, b)
-
-    def jacobiator(self, a, b, c):
-        return jacobiator(self, a, b, c)
-
-    def weak_jacobiator(self, sigma, sigma_prime, a, b, c):
-        return weak_jacobiator(self, sigma, sigma_prime, a, b, c)
-
-    def is_poisson(self, degree_bound: int = 4):
-        return is_poisson(self, degree_bound)
-
-    def is_weak_poisson(self, sigma, sigma_prime, degree_bound: int = 4):
-        return is_weak_poisson(self, sigma, sigma_prime, degree_bound)
-
-    def mult_bracket(self, a, b):
-        return mult_bracket(self, a, b)
-
-    def swap_equivalent(self):
-        return swap_equivalent(self)
-
     def entry(self, g, h) -> Tensor2:
         return self.gen_table[(self.alg.gen_index(g), self.alg.gen_index(h))]
 
@@ -176,7 +155,7 @@ def _eval_words(db: DoubleBracket, u, v, star_first: bool = False) -> Tensor2:
         return out
     alg = db.alg
     dot, star = db.bimodule, db._star
-    total = alg.zero2()
+    total = {}
     for k in range(len(u)):
         for l in range(len(v)):
             d = db.gen_table[(u[k], v[l])]
@@ -188,75 +167,65 @@ def _eval_words(db: DoubleBracket, u, v, star_first: bool = False) -> Tensor2:
             else:
                 t = act(dot, _mono(alg, v[:l]), d, _mono(alg, v[l + 1:]))
                 t = act(star, _mono(alg, u[:k]), t, _mono(alg, u[k + 1:]))
-            total = total + t
-    db._eval_cache[key] = total
-    return total
-
-
-def eval_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly) -> Tensor2:
-    """Bilinear extension of the generator table by the Leibniz rules."""
-    db.alg._check(a)
-    db.alg._check(b)
-    out = db.alg.zero2()
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            out = out + _eval_words(db, u, v).scale(cu * cv)
+            t.add_into(total)
+    out = db._eval_cache[key] = Tensor2(alg, total)
     return out
 
 
-def eval_bracket_star_first(db: DoubleBracket, a: NCPoly, b: NCPoly) -> Tensor2:
-    """Same value as eval_bracket, expanding the first argument first."""
+def eval_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly,
+                 star_first: bool = False) -> Tensor2:
+    """Bilinear extension of the generator table by the Leibniz rules.
+
+    ``star_first`` expands the first argument before the second; the value
+    is the same for every swap-commuting bimodule structure.
+    """
     db.alg._check(a)
     db.alg._check(b)
-    out = db.alg.zero2()
+    data = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
-            out = out + _eval_words(db, u, v, star_first=True).scale(cu * cv)
-    return out
+            _eval_words(db, u, v, star_first).add_into(data, cu * cv)
+    return Tensor2(db.alg, data)
 
 
 # ---------------------------------------------------------------------------
 # the four pairing maps into the tensor cube
 # ---------------------------------------------------------------------------
 
+def _pair(db: DoubleBracket, d: Tensor2, bracket_word, factor: int,
+          slot: int) -> Tensor3:
+    """The loop of the four pairing maps: for each term c w_0 (x) w_1 of d,
+    ``bracket_word(w_factor)`` gives u1 (x) u2, and the other word of d is
+    put at position ``slot`` of the cube term next to u1, u2."""
+    alg = db.alg
+    data = {}
+    for w, c in d.terms.items():
+        kept = w[1 - factor]
+        for (u1, u2), ci in bracket_word(_mono(alg, w[factor])).terms.items():
+            key = ((kept, u1, u2) if slot == 0 else
+                   (u1, kept, u2) if slot == 1 else (u1, u2, kept))
+            _tadd(data, key, c * ci)
+    return Tensor3(alg, data)
+
+
 def bracket_left(db: DoubleBracket, a: NCPoly, d: Tensor2) -> Tensor3:
     """<<a, d' >> (x) d''."""
-    data = {}
-    for (w1, w2), c in d.terms.items():
-        inner = eval_bracket(db, a, _mono(db.alg, w1))
-        for (u1, u2), ci in inner.terms.items():
-            _tadd(data, (u1, u2, w2), c * ci)
-    return Tensor3(db.alg, data)
+    return _pair(db, d, lambda p: eval_bracket(db, a, p), 0, 2)
 
 
 def bracket_right(db: DoubleBracket, a: NCPoly, d: Tensor2) -> Tensor3:
     """d' (x) <<a, d''>>."""
-    data = {}
-    for (w1, w2), c in d.terms.items():
-        inner = eval_bracket(db, a, _mono(db.alg, w2))
-        for (u1, u2), ci in inner.terms.items():
-            _tadd(data, (w1, u1, u2), c * ci)
-    return Tensor3(db.alg, data)
+    return _pair(db, d, lambda p: eval_bracket(db, a, p), 1, 0)
 
 
 def bracket_pair_left(db: DoubleBracket, d: Tensor2, b: NCPoly) -> Tensor3:
     """<<d', b>>' (x) d'' (x) <<d', b>>''."""
-    data = {}
-    for (w1, w2), c in d.terms.items():
-        inner = eval_bracket(db, _mono(db.alg, w1), b)
-        for (u1, u2), ci in inner.terms.items():
-            _tadd(data, (u1, w2, u2), c * ci)
-    return Tensor3(db.alg, data)
+    return _pair(db, d, lambda p: eval_bracket(db, p, b), 0, 1)
 
 
 def bracket_pair_right(db: DoubleBracket, d: Tensor2, b: NCPoly) -> Tensor3:
     """d' (x) <<d'', b>>."""
-    data = {}
-    for (w1, w2), c in d.terms.items():
-        inner = eval_bracket(db, _mono(db.alg, w2), b)
-        for (u1, u2), ci in inner.terms.items():
-            _tadd(data, (w1, u1, u2), c * ci)
-    return Tensor3(db.alg, data)
+    return _pair(db, d, lambda p: eval_bracket(db, p, b), 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +250,12 @@ def jacobiator(db: DoubleBracket, a: NCPoly, b: NCPoly, c: NCPoly) -> Tensor3:
     """The cyclic sum <<a,<<b,c>>>>_L + perms, valued in the tensor cube."""
     for p in (a, b, c):
         db.alg._check(p)
-    out = db.alg.zero3()
+    data = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
             for w, cw in c.terms.items():
-                out = out + _jac_words(db, u, v, w).scale(cu * cv * cw)
-    return out
+                _jac_words(db, u, v, w).add_into(data, cu * cv * cw)
+    return Tensor3(db.alg, data)
 
 
 def jacobiator_form(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
@@ -363,9 +332,11 @@ class JacVerdict:
 
     ``status`` is one of "Poisson", "WeakPoisson", "NotPoisson",
     "VerifiedUpToDegree".  NotPoisson carries the first witness triple in
-    the sweep order (generator triples first, then total degree, then
-    deg-lex) and its nonzero defect, which is the value of the (weak)
-    Jacobiator that was being tested.
+    the sweep order and its nonzero defect, which is the value of the
+    (weak) Jacobiator that was being tested.  An exact sweep runs over
+    generator triples; a bounded one over word triples by total degree,
+    then by the factors' index tuples compared lexicographically (see
+    ``_word_triples``).
     """
 
     status: str
@@ -415,12 +386,24 @@ def _gen_triples(alg):
 
 
 def _word_triples(alg, degree_bound):
-    """Nonempty word triples, each factor of length <= degree_bound,
-    ordered by total degree then deg-lex on the factors."""
-    words = sorted(alg.words_up_to(degree_bound, min_degree=1), key=_deglex)
-    triples = itertools.product(words, repeat=3)
-    return sorted(triples, key=lambda t: (len(t[0]) + len(t[1]) + len(t[2]),
-                                          t[0], t[1], t[2]))
+    """Yield the nonempty word triples (u, v, w), each factor of length at
+    most degree_bound, in the sweep order.
+
+    The order is by total degree, then by (u, v, w) with each factor
+    compared as a tuple of generator indices, lexicographically: within
+    total degree 4, (x, x*x, x) precedes (x, y, x*x).  It is not deg-lex
+    on the factors.  The triples are produced one at a time, so an early
+    witness costs no more than the triples before it.
+    """
+    words_to = functools.cache(
+        lambda m: sorted(alg.words_up_to(m, min_degree=1)))
+    for total in range(3, 3 * degree_bound + 1):
+        for u in words_to(min(degree_bound, total - 2)):
+            for v in words_to(min(degree_bound, total - len(u) - 1)):
+                rest = total - len(u) - len(v)
+                if rest <= degree_bound:
+                    for w in alg.words(rest):
+                        yield u, v, w
 
 
 def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
@@ -431,24 +414,34 @@ def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
     exactly.  All other configurations sweep word triples up to the degree
     bound and report VerifiedUpToDegree unless a witness appears.
     """
-    alg = db.alg
     if db.is_zero():
         return JacVerdict.poisson()
     sound = (db.kind() in (BimodKind.OUTER, BimodKind.INNER)
              and db.bimodule.is_untwisted())
+    return _sweep(db, lambda u, v, w: _jac_words(db, u, v, w), sound,
+                  degree_bound, JacVerdict.poisson())
+
+
+def _sweep(db, defect_of, sound: bool, degree_bound: int, holds: JacVerdict,
+           sigma=None, sigma_prime=None) -> JacVerdict:
+    """The verdict of the first nonzero ``defect_of(u, v, w)``: over the
+    generator triples if ``sound`` (else ``holds``), otherwise over the
+    word triples up to the bound (else VerifiedUpToDegree)."""
+    alg = db.alg
     if sound:
-        for i, j, k in _gen_triples(alg):
-            defect = _jac_words(db, (i,), (j,), (k,))
-            if not defect.is_zero():
-                return JacVerdict.not_poisson(
-                    (alg.gen(i), alg.gen(j), alg.gen(k)), defect)
-        return JacVerdict.poisson()
-    for u, v, w in _word_triples(alg, degree_bound):
-        defect = _jac_words(db, u, v, w)
+        triples = (((i,), (j,), (k,)) for i, j, k in _gen_triples(alg))
+    else:
+        triples = _word_triples(alg, degree_bound)
+    for u, v, w in triples:
+        defect = defect_of(u, v, w)
         if not defect.is_zero():
             return JacVerdict.not_poisson(
-                (_mono(alg, u), _mono(alg, v), _mono(alg, w)), defect)
-    return JacVerdict.verified_up_to_degree(degree_bound)
+                (_mono(alg, u), _mono(alg, v), _mono(alg, w)), defect,
+                sigma=sigma, sigma_prime=sigma_prime)
+    if sound:
+        return holds
+    return JacVerdict.verified_up_to_degree(degree_bound, sigma=sigma,
+                                            sigma_prime=sigma_prime)
 
 
 def _weak_words(db, s, sp, u, v, w) -> Tensor3:
@@ -471,7 +464,6 @@ def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
     sp = transposition(sigma_prime)
     s_name = "".join(str(i) for i in (1, 2, 3) if s[i - 1] != i)
     sp_name = "".join(str(i) for i in (1, 2, 3) if sp[i - 1] != i)
-    alg = db.alg
     if db.is_zero():
         return JacVerdict.weak_poisson(s_name, sp_name)
     untwisted = db.bimodule.is_untwisted()
@@ -479,22 +471,9 @@ def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
               and (s_name, sp_name) == ("12", "12"))
              or (db.kind() is BimodKind.LEFT and untwisted
                  and (s_name, sp_name) == ("12", "13")))
-    if sound:
-        for i, j, k in _gen_triples(alg):
-            defect = _weak_words(db, s, sp, (i,), (j,), (k,))
-            if not defect.is_zero():
-                return JacVerdict.not_poisson(
-                    (alg.gen(i), alg.gen(j), alg.gen(k)), defect,
-                    sigma=s_name, sigma_prime=sp_name)
-        return JacVerdict.weak_poisson(s_name, sp_name)
-    for u, v, w in _word_triples(alg, degree_bound):
-        defect = _weak_words(db, s, sp, u, v, w)
-        if not defect.is_zero():
-            return JacVerdict.not_poisson(
-                (_mono(alg, u), _mono(alg, v), _mono(alg, w)), defect,
-                sigma=s_name, sigma_prime=sp_name)
-    return JacVerdict.verified_up_to_degree(degree_bound, sigma=s_name,
-                                            sigma_prime=sp_name)
+    return _sweep(db, lambda u, v, w: _weak_words(db, s, sp, u, v, w), sound,
+                  degree_bound, JacVerdict.weak_poisson(s_name, sp_name),
+                  s_name, sp_name)
 
 
 @dataclass
@@ -752,10 +731,10 @@ def bullet_bracket(db: DoubleBracket, na: Necklace, nb: Necklace) -> dict:
 
 def sym_necklace_bracket(db: DoubleBracket, na: Necklace, nb: Necklace) -> CPoly:
     """The bullet bracket as a quadratic element of Sym over cyclic words."""
-    out = CPoly.zero()
+    data = {}
     for (n1, n2), c in bullet_bracket(db, na, nb).items():
-        out = out + (CPoly.var(n1) * CPoly.var(n2)).scale(c)
-    return out
+        (CPoly.var(n1) * CPoly.var(n2)).add_into(data, c)
+    return CPoly(data)
 
 
 def sym_jacobi_defect(db: DoubleBracket, na: Necklace, nb: Necklace,

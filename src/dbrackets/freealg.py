@@ -6,7 +6,9 @@ A ``FreeAlgebra`` fixes a finite list of named generators.  Elements are
 cube of the algebra (``Tensor2``, ``Tensor3``), the symmetric-group actions
 on tensor factors, algebra endomorphisms given on generators, and the
 projection onto cyclic words (necklaces), which is the quotient of the
-algebra by the span of commutators.
+algebra by the span of commutators.  ``LinComb`` is the base class of these
+elements and of the package's other finite linear combinations
+(commutative polynomials, matrix tensors).
 
 No floating point is used anywhere: all arithmetic is exact.
 """
@@ -14,6 +16,7 @@ No floating point is used anywhere: all arithmetic is exact.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -64,6 +67,116 @@ def transposition(name) -> tuple:
     if key not in TRANSPOSITIONS:
         raise ValueError(f"not a transposition of {{1,2,3}}: {name!r}")
     return TRANSPOSITIONS[key]
+
+
+# ---------------------------------------------------------------------------
+# sparse linear combinations
+# ---------------------------------------------------------------------------
+
+def _tadd(data: dict, key, coeff) -> None:
+    """Add coeff to data[key] in place, dropping the key if it cancels."""
+    c = data.get(key)
+    c = coeff if c is None else c + coeff
+    if c:
+        data[key] = c
+    elif key in data:
+        del data[key]
+
+
+class LinComb:
+    """A finite map ``terms`` from basis keys to nonzero ``Fraction`` values.
+
+    No zero is stored, so structural equality is mathematical equality.
+    Subclasses may override ``_space`` (the ambient space; mixing spaces
+    raises ValueError), ``_like`` (a new element of the same class and
+    space) and ``_key_order`` (the printing order of the keys).
+    """
+
+    __slots__ = ()
+
+    def _space(self):
+        return None
+
+    def _like(self, terms: dict):
+        return type(self)(terms)
+
+    @staticmethod
+    def _key_order(key):
+        return key
+
+    def _check(self, other) -> None:
+        if self._space() != other._space():
+            raise ValueError(f"mismatched ambient spaces: {self._space()!r} "
+                             f"vs {other._space()!r}")
+
+    def add_into(self, data: dict, scalar=1) -> None:
+        """Add scalar times self into ``data`` in place; long sums build one
+        local dict with it instead of copying a running total per term."""
+        if scalar == 1:
+            for key, c in self.terms.items():
+                _tadd(data, key, c)
+        elif scalar:
+            for key, c in self.terms.items():
+                _tadd(data, key, c * scalar)
+
+    def __add__(self, other):
+        self._check(other)
+        data = dict(self.terms)
+        other.add_into(data)
+        return self._like(data)
+
+    def __sub__(self, other):
+        self._check(other)
+        data = dict(self.terms)
+        other.add_into(data, -1)
+        return self._like(data)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def scale(self, scalar):
+        s = Fraction(scalar)
+        if not s:
+            return self._like({})
+        return self._like({key: c * s for key, c in self.terms.items()})
+
+    def __rmul__(self, scalar):
+        return self.scale(scalar)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._space() == other._space()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self) -> list:
+        order = self._key_order
+        return sorted(self.terms.items(), key=lambda item: order(item[0]))
+
+    def _format(self, render_key) -> str:
+        """The +/- printer; the empty key is the unit and prints as its
+        coefficient, any other key as ``coeff*render_key(key)``."""
+        parts = []
+        for key, coeff in self.sorted_terms():
+            mag = -coeff if coeff < 0 else coeff
+            if not key:
+                txt = str(mag)
+            elif mag == 1:
+                txt = render_key(key)
+            else:
+                txt = f"{mag}*{render_key(key)}"
+            if not parts:
+                parts.append(f"-{txt}" if coeff < 0 else txt)
+            else:
+                parts.append(("- " if coeff < 0 else "+ ") + txt)
+        return " ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self}>"
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +236,16 @@ class FreeAlgebra:
     def poly(self, terms: Mapping) -> "NCPoly":
         data = {}
         for word, coeff in terms.items():
-            w = tuple(self.gen_index(g) for g in word)
-            c = data.get(w, Fraction(0)) + Fraction(coeff)
-            data[w] = c
-        return NCPoly(self, {w: c for w, c in data.items() if c})
+            _tadd(data, tuple(self.gen_index(g) for g in word), Fraction(coeff))
+        return NCPoly(self, data)
 
     def t2(self, left: "NCPoly", right: "NCPoly") -> "Tensor2":
         """Elementary tensor left (x) right, expanded bilinearly."""
         self._check(left), self._check(right)
-        data = {}
-        for u, cu in left.terms.items():
-            for v, cv in right.terms.items():
-                _tadd(data, (u, v), cu * cv)
-        return Tensor2(self, data)
+        return Tensor2(self, _expand({}, (left, right), 1))
 
     def t3(self, a: "NCPoly", b: "NCPoly", c: "NCPoly") -> "Tensor3":
-        data = {}
-        for u, cu in a.terms.items():
-            for v, cv in b.terms.items():
-                for w, cw in c.terms.items():
-                    _tadd(data, (u, v, w), cu * cv * cw)
-        return Tensor3(self, data)
+        return Tensor3(self, _expand({}, (a, b, c), 1))
 
     def zero2(self) -> "Tensor2":
         return Tensor2(self, {})
@@ -179,82 +281,64 @@ class FreeAlgebra:
                 f"mismatched generator tables: {self!r} vs {elem.alg!r}")
 
 
-def _tadd(data: dict, key, coeff) -> None:
-    c = data.get(key)
-    c = coeff if c is None else c + coeff
-    if c:
-        data[key] = c
-    elif key in data:
-        del data[key]
+def _expand(data: dict, factors, coeff) -> dict:
+    """Add coeff times the tensor product of the factors into data."""
+    for combo in itertools.product(*(f.terms.items() for f in factors)):
+        c = coeff
+        for _, ci in combo:
+            c = c * ci
+        _tadd(data, tuple(w for w, _ in combo), c)
+    return data
+
+
+def _slotwise_mul(s, t):
+    """Componentwise product of tensors: words multiply slot by slot."""
+    s._check(t)
+    data = {}
+    for k1, c1 in s.terms.items():
+        for k2, c2 in t.terms.items():
+            _tadd(data, tuple(map(operator.add, k1, k2)), c1 * c2)
+    return s._like(data)
 
 
 def _deglex(w: Word):
     return (len(w), w)
 
 
-def _format_terms(alg, items, render_key) -> str:
-    """Shared +/- pretty printer; items are (key, coeff) in canonical order."""
-    parts = []
-    for key, coeff in items:
-        body = render_key(key)
-        mag = -coeff if coeff < 0 else coeff
-        if body == "1":
-            txt = str(mag)
-        elif mag == 1:
-            txt = body
-        else:
-            txt = f"{mag}*{body}"
-        if not parts:
-            parts.append(f"-{txt}" if coeff < 0 else txt)
-        else:
-            parts.append(("- " if coeff < 0 else "+ ") + txt)
-    return " ".join(parts) if parts else "0"
+def _tensor_order(key):
+    return tuple(_deglex(w) for w in key)
+
+
+class _OverAlgebra(LinComb):
+    """A linear combination whose keys are built from words of one algebra."""
+
+    __slots__ = ("alg", "terms")
+
+    def __init__(self, alg: FreeAlgebra, terms: dict):
+        self.alg = alg
+        self.terms = terms
+
+    def _space(self):
+        return self.alg.names
+
+    def _like(self, terms: dict):
+        return type(self)(self.alg, terms)
 
 
 # ---------------------------------------------------------------------------
 # elements of the algebra
 # ---------------------------------------------------------------------------
 
-class NCPoly:
+class NCPoly(_OverAlgebra):
     """A finite Q-linear combination of words in the generators."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: FreeAlgebra, terms: dict):
-        self.alg = alg
-        self.terms = terms  # Word -> Fraction, no zero values
-
-    # construction helpers take care of normalisation; arithmetic assumes it
-    def __add__(self, other):
-        self.alg._check(other)
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            _tadd(data, w, c)
-        return NCPoly(self.alg, data)
-
-    def __sub__(self, other):
-        self.alg._check(other)
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            _tadd(data, w, -c)
-        return NCPoly(self.alg, data)
-
-    def __neg__(self):
-        return NCPoly(self.alg, {w: -c for w, c in self.terms.items()})
+    __slots__ = ()
+    _key_order = staticmethod(_deglex)
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
             return poly_mul(self, other)
         return self.scale(other)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def scale(self, scalar) -> "NCPoly":
-        s = Fraction(scalar)
-        if not s:
-            return self.alg.zero()
-        return NCPoly(self.alg, {w: c * s for w, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -264,16 +348,6 @@ class NCPoly:
             out = out * self
         return out
 
-    def __eq__(self, other):
-        return (isinstance(other, NCPoly) and self.alg.names == other.alg.names
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.alg.names, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Maximal word length; -1 for the zero element."""
         return max((len(w) for w in self.terms), default=-1)
@@ -281,18 +355,12 @@ class NCPoly:
     def homogeneous_part(self, d: int) -> "NCPoly":
         return NCPoly(self.alg, {w: c for w, c in self.terms.items() if len(w) == d})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda it: _deglex(it[0]))
-
     def coeff(self, word: Iterable) -> Fraction:
         w = tuple(self.alg.gen_index(g) for g in word)
         return self.terms.get(w, Fraction(0))
 
     def __str__(self):
-        return _format_terms(self.alg, self.sorted_terms(), self.alg.format_word)
-
-    def __repr__(self):
-        return f"<NCPoly {self}>"
+        return self._format(self.alg.format_word)
 
 
 def poly_mul(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -309,157 +377,49 @@ def poly_mul(p: NCPoly, q: NCPoly) -> NCPoly:
 # tensor square and cube
 # ---------------------------------------------------------------------------
 
-class Tensor2:
+class Tensor2(_OverAlgebra):
     """Sparse element of A (x) A: finite map (Word, Word) -> Fraction."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: FreeAlgebra, terms: dict):
-        self.alg = alg
-        self.terms = terms
-
-    def __add__(self, other):
-        self.alg._check(other)
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            _tadd(data, k, c)
-        return Tensor2(self.alg, data)
-
-    def __sub__(self, other):
-        self.alg._check(other)
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            _tadd(data, k, -c)
-        return Tensor2(self.alg, data)
-
-    def __neg__(self):
-        return Tensor2(self.alg, {k: -c for k, c in self.terms.items()})
+    __slots__ = ()
+    _key_order = staticmethod(_tensor_order)
 
     def __mul__(self, other):
         if isinstance(other, Tensor2):
             return tensor2_alg_mul(self, other)
         return self.scale(other)
 
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def scale(self, scalar) -> "Tensor2":
-        s = Fraction(scalar)
-        if not s:
-            return Tensor2(self.alg, {})
-        return Tensor2(self.alg, {k: c * s for k, c in self.terms.items()})
-
     def swap(self) -> "Tensor2":
+        """The swap automorphism of A (x) A, sending u (x) v to v (x) u."""
         return Tensor2(self.alg, {(v, u): c for (u, v), c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor2) and self.alg.names == other.alg.names
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.alg.names, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda it: tuple(_deglex(w) for w in it[0]))
 
     def __str__(self):
         fmt = self.alg.format_word
-        return _format_terms(
-            self.alg, self.sorted_terms(),
-            lambda key: f"{fmt(key[0])} (x) {fmt(key[1])}")
-
-    def __repr__(self):
-        return f"<Tensor2 {self}>"
+        return self._format(lambda key: f"{fmt(key[0])} (x) {fmt(key[1])}")
 
 
-class Tensor3:
+class Tensor3(_OverAlgebra):
     """Sparse element of A (x) A (x) A."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: FreeAlgebra, terms: dict):
-        self.alg = alg
-        self.terms = terms
-
-    def __add__(self, other):
-        self.alg._check(other)
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            _tadd(data, k, c)
-        return Tensor3(self.alg, data)
-
-    def __sub__(self, other):
-        self.alg._check(other)
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            _tadd(data, k, -c)
-        return Tensor3(self.alg, data)
-
-    def __neg__(self):
-        return Tensor3(self.alg, {k: -c for k, c in self.terms.items()})
+    __slots__ = ()
+    _key_order = staticmethod(_tensor_order)
 
     def __mul__(self, other):
         if isinstance(other, Tensor3):
-            data = {}
-            for (u1, u2, u3), cu in self.terms.items():
-                for (v1, v2, v3), cv in other.terms.items():
-                    _tadd(data, (u1 + v1, u2 + v2, u3 + v3), cu * cv)
-            return Tensor3(self.alg, data)
+            return _slotwise_mul(self, other)
         return self.scale(other)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def scale(self, scalar) -> "Tensor3":
-        s = Fraction(scalar)
-        if not s:
-            return Tensor3(self.alg, {})
-        return Tensor3(self.alg, {k: c * s for k, c in self.terms.items()})
 
     def permute(self, sigma) -> "Tensor3":
         return tensor3_perm(sigma, self)
 
-    def __eq__(self, other):
-        return (isinstance(other, Tensor3) and self.alg.names == other.alg.names
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.alg.names, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda it: tuple(_deglex(w) for w in it[0]))
-
     def __str__(self):
         fmt = self.alg.format_word
-        return _format_terms(
-            self.alg, self.sorted_terms(),
+        return self._format(
             lambda key: f"{fmt(key[0])} (x) {fmt(key[1])} (x) {fmt(key[2])}")
-
-    def __repr__(self):
-        return f"<Tensor3 {self}>"
-
-
-def tensor_swap(d: Tensor2) -> Tensor2:
-    """The swap automorphism of A (x) A, sending u (x) v to v (x) u."""
-    return d.swap()
 
 
 def tensor2_alg_mul(d: Tensor2, e: Tensor2) -> Tensor2:
     """Componentwise multiplication (a1 (x) b1)(a2 (x) b2) = a1*a2 (x) b1*b2."""
-    d.alg._check(e)
-    data = {}
-    for (u1, u2), cu in d.terms.items():
-        for (v1, v2), cv in e.terms.items():
-            _tadd(data, (u1 + v1, u2 + v2), cu * cv)
-    return Tensor2(d.alg, data)
+    return _slotwise_mul(d, e)
 
 
 def tensor3_perm(sigma, t: Tensor3) -> Tensor3:
@@ -513,10 +473,16 @@ class AlgEndo:
                    for i in range(self.domain.ngens))
 
     def apply_word(self, w: Word) -> NCPoly:
-        out = self._word_cache.get(w)
-        if out is None:
-            out = poly_mul(self.apply_word(w[:-1]), self.images[w[-1]])
-            self._word_cache[w] = out
+        """The image of a word, extending the longest cached prefix one
+        letter at a time (no recursion) and caching every prefix."""
+        cache = self._word_cache
+        k = len(w)
+        while w[:k] not in cache:
+            k -= 1
+        out = cache[w[:k]]
+        for i in range(k, len(w)):
+            out = poly_mul(out, self.images[w[i]])
+            cache[w[:i + 1]] = out
         return out
 
     def __call__(self, p: NCPoly) -> NCPoly:
@@ -545,33 +511,27 @@ class AlgEndo:
 def apply_endo(e: AlgEndo, p: NCPoly) -> NCPoly:
     """Apply the multiplicative, unital extension of the generator images."""
     e.domain._check(p)
-    out = e.codomain.zero()
+    data = {}
     for w, c in p.terms.items():
-        out = out + e.apply_word(w).scale(c)
-    return out
+        e.apply_word(w).add_into(data, c)
+    return NCPoly(e.codomain, data)
+
+
+def _apply_slotwise(e: AlgEndo, t) -> dict:
+    data = {}
+    for key, c in t.terms.items():
+        _expand(data, [e.apply_word(w) for w in key], c)
+    return data
 
 
 def apply_endo_tensor2(e: AlgEndo, d: "Tensor2") -> "Tensor2":
     """Apply e (x) e to an element of the tensor square."""
-    data = {}
-    for (w1, w2), c in d.terms.items():
-        p1, p2 = e.apply_word(w1), e.apply_word(w2)
-        for u1, c1 in p1.terms.items():
-            for u2, c2 in p2.terms.items():
-                _tadd(data, (u1, u2), c * c1 * c2)
-    return Tensor2(e.codomain, data)
+    return Tensor2(e.codomain, _apply_slotwise(e, d))
 
 
 def apply_endo_tensor3(e: AlgEndo, t: "Tensor3") -> "Tensor3":
     """Apply e (x) e (x) e to an element of the tensor cube."""
-    data = {}
-    for (w1, w2, w3), c in t.terms.items():
-        p1, p2, p3 = e.apply_word(w1), e.apply_word(w2), e.apply_word(w3)
-        for u1, c1 in p1.terms.items():
-            for u2, c2 in p2.terms.items():
-                for u3, c3 in p3.terms.items():
-                    _tadd(data, (u1, u2, u3), c * c1 * c2 * c3)
-    return Tensor3(e.codomain, data)
+    return Tensor3(e.codomain, _apply_slotwise(e, t))
 
 
 def word_reversal(p: NCPoly) -> NCPoly:

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .bimodule import Bimodule, BimodKind
 from .dbracket import DoubleBracket, JacVerdict, eval_bracket, is_poisson
-from .freealg import FreeAlgebra, NCPoly, Tensor2, _tadd, tensor_swap
+from .freealg import FreeAlgebra, NCPoly, Tensor2, _tadd
 
 # epsilon^{ijk}, totally antisymmetric with epsilon^{123} = 1 (0-based keys)
 _EPSILON = {}
@@ -78,7 +78,7 @@ def is_fully_noncommutative(f: NCPoly) -> bool:
 
 def is_fully_noncommutative_via_derivations(f: NCPoly) -> bool:
     """Cross-check: the double derivations of f are all swap-invariant."""
-    return all(double_derivation(j, f) == tensor_swap(double_derivation(j, f))
+    return all(double_derivation(j, f) == double_derivation(j, f).swap()
                for j in range(f.alg.ngens))
 
 
@@ -91,12 +91,10 @@ def gradient_gen_table(f: NCPoly) -> dict:
     table = {}
     for i in range(3):
         for j in range(3):
-            acc = alg.zero2()
+            acc = {}
             for k in range(3):
-                e = epsilon(i, j, k)
-                if e:
-                    acc = acc + partials[k].scale(e)
-            table[(i, j)] = acc
+                partials[k].add_into(acc, epsilon(i, j, k))
+            table[(i, j)] = Tensor2(alg, acc)
     return table
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .bimodule import BimodKind
 from .commpoly import CPoly, poisson_biderivation
@@ -43,41 +43,28 @@ class MatPoly:
         return MatPoly(n, [[CPoly.one() if i == j else CPoly.zero()
                             for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(n: int) -> "MatPoly":
-        return MatPoly(n, [[CPoly.zero() for _ in range(n)] for _ in range(n)])
-
     def entry(self, i: int, j: int) -> CPoly:
         """1-based access, matching the entry-variable convention."""
         return self.rows[i - 1][j - 1]
 
-    def __add__(self, other):
-        return MatPoly(self.n, [[self.rows[i][j] + other.rows[i][j]
-                                 for j in range(self.n)] for i in range(self.n)])
-
-    def __mul__(self, other):
-        if isinstance(other, MatPoly):
-            n = self.n
-            rows = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = CPoly.zero()
-                    for k in range(n):
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                    row.append(acc)
-                rows.append(row)
-            return MatPoly(n, rows)
-        return MatPoly(self.n, [[e.scale(other) for e in row] for row in self.rows])
-
-    def scale(self, s) -> "MatPoly":
-        return MatPoly(self.n, [[e.scale(s) for e in row] for row in self.rows])
+    def __mul__(self, other: "MatPoly") -> "MatPoly":
+        n = self.n
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = {}
+                for k in range(n):
+                    (self.rows[i][k] * other.rows[k][j]).add_into(acc)
+                row.append(CPoly(acc))
+            rows.append(row)
+        return MatPoly(n, rows)
 
     def trace(self) -> CPoly:
-        out = CPoly.zero()
+        acc = {}
         for i in range(self.n):
-            out = out + self.rows[i][i]
-        return out
+            self.rows[i][i].add_into(acc)
+        return CPoly(acc)
 
     def __eq__(self, other):
         return isinstance(other, MatPoly) and self.n == other.n and self.rows == other.rows
@@ -100,14 +87,18 @@ _WORD_CACHE: dict = {}
 
 
 def _word_matrix(alg: FreeAlgebra, w, n: int) -> MatPoly:
-    key = (alg.names, w, n)
-    m = _WORD_CACHE.get(key)
+    """The product of generic matrices along w, extending the longest
+    cached prefix one letter at a time (no recursion); caches every prefix."""
+    names = alg.names
+    k = len(w)
+    while k and (names, w[:k], n) not in _WORD_CACHE:
+        k -= 1
+    m = _WORD_CACHE.get((names, w[:k], n))
     if m is None:
-        if not w:
-            m = MatPoly.identity(n)
-        else:
-            m = _word_matrix(alg, w[:-1], n) * generic_matrix(alg, w[-1], n)
-        _WORD_CACHE[key] = m
+        m = _WORD_CACHE[(names, (), n)] = MatPoly.identity(n)
+    for i in range(k, len(w)):
+        m = m * generic_matrix(alg, w[i], n)
+        _WORD_CACHE[(names, w[:i + 1], n)] = m
     return m
 
 
@@ -115,10 +106,12 @@ def eval_nc(p: NCPoly, n: int) -> MatPoly:
     """The algebra homomorphism sending each generator to a generic matrix."""
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    out = MatPoly.zero(n)
+    acc = [[{} for _ in range(n)] for _ in range(n)]
     for w, c in p.terms.items():
-        out = out + _word_matrix(p.alg, w, n).scale(c)
-    return out
+        for acc_row, row in zip(acc, _word_matrix(p.alg, w, n).rows):
+            for data, entry in zip(acc_row, row):
+                entry.add_into(data, c)
+    return MatPoly(n, [[CPoly(data) for data in row] for row in acc])
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +170,6 @@ class PoissonStructure:
     def _twist_poly(self, f: CPoly) -> CPoly:
         return f.substitute(self._twist_var)
 
-    def eval(self, f: CPoly, g: CPoly) -> CPoly:
-        return poisson_eval(self, f, g)
-
     def format_entry(self, v: EntryVar) -> str:
         return entry_name(self.alg, v)
 
@@ -207,13 +197,13 @@ def induce(db: DoubleBracket, n: int) -> PoissonStructure:
                 for k in rng:
                     for l in rng:
                         (p1, q1), (p2, q2) = _arranged_indices(kind, i, j, k, l)
-                        acc = CPoly.zero()
+                        acc = {}
                         for (w1, w2), c in d.terms.items():
-                            acc = acc + (_word_matrix(alg, w1, n).entry(p1, q1)
-                                         * _word_matrix(alg, w2, n).entry(p2, q2)
-                                         ).scale(c)
-                        if not acc.is_zero():
-                            table[((gi, i, j), (gj, k, l))] = acc
+                            (_word_matrix(alg, w1, n).entry(p1, q1)
+                             * _word_matrix(alg, w2, n).entry(p2, q2)
+                             ).add_into(acc, c)
+                        if acc:
+                            table[((gi, i, j), (gj, k, l))] = CPoly(acc)
     return PoissonStructure(alg, n, kind, table, twist)
 
 
@@ -232,11 +222,14 @@ def jacobi_defect(ps: PoissonStructure, f: CPoly, g: CPoly, h: CPoly) -> CPoly:
 
 @dataclass
 class RepJacobiReport:
+    """Outcome of a Jacobi sweep; ``format_var`` names entry variables."""
+
     holds: bool
     witness: Optional[tuple]
     defect: Optional[CPoly]
     tuples: int
     n: int
+    format_var: Callable
 
     def __str__(self):
         if self.holds:
@@ -244,15 +237,14 @@ class RepJacobiReport:
                     f"generator-entry triples (n={self.n})")
         v1, v2, v3 = self.witness
         return (f"Jacobi identity FAILS at ({v1}, {v2}, {v3}) "
-                f"with defect {self.defect}")
+                f"with defect {self.defect.to_str(self.format_var)}")
 
-    def kv_lines(self, alg):
+    def kv_lines(self):
         lines = [f"n={self.n}", f"tuples_checked={self.tuples}"]
         if self.holds:
             lines.append("max_defect=0")
         else:
-            lines.append("max_defect=" + self.defect.to_str(
-                lambda v: entry_name(alg, v)))
+            lines.append("max_defect=" + self.defect.to_str(self.format_var))
         return lines
 
 
@@ -279,8 +271,8 @@ def jacobi_sweep(ps: PoissonStructure) -> RepJacobiReport:
                     return RepJacobiReport(False, (ps.format_entry(v1),
                                                    ps.format_entry(v2),
                                                    ps.format_entry(v3)),
-                                           d, count, ps.n)
-    return RepJacobiReport(True, None, None, count, ps.n)
+                                           d, count, ps.n, ps.format_entry)
+    return RepJacobiReport(True, None, None, count, ps.n, ps.format_entry)
 
 
 def trace_bracket(ps: PoissonStructure, a: NCPoly, b: NCPoly) -> CPoly:

@@ -20,14 +20,38 @@ from fractions import Fraction
 
 from .bimodule import BimodKind
 from .commpoly import CPoly
-from .freealg import FreeAlgebra, _tadd
+from .freealg import FreeAlgebra, LinComb, _tadd
 from .repspace import PoissonStructure, RepJacobiReport, jacobi_sweep
 
 
-class MatTensor2:
-    """Sum of r_{ij,kl} e_ij (x) e_kl over 1-based indices up to N."""
+class _OverMatrices(LinComb):
+    """A combination of tensor products of elementary N x N matrices; the
+    key lists each slot's row and column, and the space is N."""
 
     __slots__ = ("N", "terms")
+
+    def _space(self):
+        return self.N
+
+    def _like(self, terms: dict):
+        out = object.__new__(type(self))
+        out.N, out.terms = self.N, terms
+        return out
+
+    def __str__(self):
+        parts = [f"{c}*" + "(x)".join(f"e[{key[s]},{key[s + 1]}]"
+                                      for s in range(0, len(key), 2))
+                 for key, c in self.sorted_terms()]
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"<{type(self).__name__} N={self.N} {self}>"
+
+
+class MatTensor2(_OverMatrices):
+    """Sum of r_{ij,kl} e_ij (x) e_kl over 1-based indices up to N."""
+
+    __slots__ = ()
 
     def __init__(self, N: int, terms: dict | None = None):
         self.N = N
@@ -40,31 +64,9 @@ class MatTensor2:
                 data[key] = c
         self.terms = data
 
-    def __add__(self, other):
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            _tadd(data, k, c)
-        return MatTensor2(self.N, data)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MatTensor2(self.N, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, s) -> "MatTensor2":
-        return MatTensor2(self.N, {k: c * Fraction(s) for k, c in self.terms.items()})
-
     def swap(self) -> "MatTensor2":
-        return MatTensor2(self.N, {(k, l, i, j): c
-                                   for (i, j, k, l), c in self.terms.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, MatTensor2) and self.N == other.N
-                and self.terms == other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like({(k, l, i, j): c
+                           for (i, j, k, l), c in self.terms.items()})
 
     def embed(self, slots: tuple) -> "MatTensor3":
         """Place the two factors into the given slots of the triple algebra."""
@@ -78,41 +80,19 @@ class MatTensor2:
                 _tadd(data, tuple(key[0] + key[1] + key[2]), c)
         return MatTensor3(self.N, data)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
-    def __str__(self):
-        parts = [f"{c}*e[{i},{j}](x)e[{k},{l}]"
-                 for (i, j, k, l), c in self.sorted_terms()]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"<MatTensor2 N={self.N} {self}>"
-
-
-class MatTensor3:
+class MatTensor3(_OverMatrices):
     """Sparse element of Mat_N (x) Mat_N (x) Mat_N."""
 
-    __slots__ = ("N", "terms")
+    __slots__ = ()
 
     def __init__(self, N: int, terms: dict | None = None):
         self.N = N
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
-    def __add__(self, other):
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            _tadd(data, k, c)
-        return MatTensor3(self.N, data)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MatTensor3(self.N, {k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other):
         """Componentwise product; e_ij e_kl = delta_jk e_il in each slot."""
+        self._check(other)
         data = {}
         for k1, c1 in self.terms.items():
             i1, j1, k1b, l1, u1, v1 = k1
@@ -120,25 +100,10 @@ class MatTensor3:
                 i2, j2, k2b, l2, u2, v2 = k2
                 if j1 == i2 and l1 == k2b and v1 == u2:
                     _tadd(data, (i1, j2, k1b, l2, u1, v2), c1 * c2)
-        return MatTensor3(self.N, data)
+        return self._like(data)
 
     def commutator(self, other) -> "MatTensor3":
         return self * other - other * self
-
-    def __eq__(self, other):
-        return (isinstance(other, MatTensor3) and self.N == other.N
-                and self.terms == other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __str__(self):
-        parts = [f"{c}*e[{i},{j}](x)e[{k},{l}](x)e[{u},{v}]"
-                 for (i, j, k, l, u, v), c in sorted(self.terms.items())]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"<MatTensor3 N={self.N} {self}>"
 
 
 def cybe_defect(r: MatTensor2) -> MatTensor3:
@@ -219,22 +184,17 @@ def entry_bracket(r: MatTensor2) -> EntryBracket:
         for j in rng:
             for k in rng:
                 for l in rng:
-                    acc = CPoly.zero()
+                    acc = {}
                     for a in rng:
-                        c = r.terms.get((i, a, k, l))
-                        if c:
-                            acc = acc + _vvar(a, j).scale(c)
-                        c = r.terms.get((a, j, k, l))
-                        if c:
-                            acc = acc - _vvar(i, a).scale(c)
-                        c = rs.terms.get((i, j, k, a))
-                        if c:
-                            acc = acc - _vvar(a, l).scale(c)
-                        c = rs.terms.get((i, j, a, l))
-                        if c:
-                            acc = acc + _vvar(k, a).scale(c)
-                    if not acc.is_zero():
-                        table[((i, j), (k, l))] = acc
+                        for c, (p, q) in (
+                                (r.terms.get((i, a, k, l), 0), (a, j)),
+                                (-r.terms.get((a, j, k, l), 0), (i, a)),
+                                (-rs.terms.get((i, j, k, a), 0), (a, l)),
+                                (rs.terms.get((i, j, a, l), 0), (k, a))):
+                            if c:
+                                _vvar(p, q).add_into(acc, c)
+                    if acc:
+                        table[((i, j), (k, l))] = CPoly(acc)
     return EntryBracket(N, table)
 
 

@@ -5,8 +5,7 @@ import itertools
 import pytest
 
 from dbrackets import (AlgEndo, Bimodule, BimodKind, FreeAlgebra, Tensor2, act,
-                       check_swap_commuting, swap_bimodule, tensor_swap,
-                       word_reversal)
+                       check_swap_commuting, swap_bimodule, word_reversal)
 from dbrackets.freealg import _tadd
 
 from helpers import monomials, two_gen, xy
@@ -49,7 +48,7 @@ def test_swap_action_is_swap_conjugate():
     for kind in BimodKind:
         m = Bimodule(kind, alg=A)
         s = swap_bimodule(m)
-        assert act(s, x, d, y) == tensor_swap(act(m, x, tensor_swap(d), y))
+        assert act(s, x, d, y) == act(m, x, d.swap(), y).swap()
 
 
 @pytest.mark.parametrize("kind", list(BimodKind))
@@ -124,7 +123,7 @@ def test_swap_commuting_iff_swap_bimodule_is():
 
     def swapped_reversal(a, d, b):
         fwd = _reversal_action(A)
-        return tensor_swap(fwd(a, tensor_swap(d), b))
+        return fwd(a, d.swap(), b).swap()
 
     assert not check_swap_commuting(_reversal_action(A), 2, alg=A).holds
     assert not check_swap_commuting(swapped_reversal, 2, alg=A).holds

@@ -211,3 +211,51 @@ def test_ybe_entry_jacobi_command(tmp_path):
     rfile.write_text("1 2 2 1 1\n")
     out, code = run_text(f"algebra {{ gens: x }}\nybe entry-jacobi {rfile}\n")
     assert code == 1 and "FAILS" in out
+
+
+def test_failing_jacobi_reports_name_entry_variables():
+    plain, code = run_text("algebra { gens: x }\nybe entry-jacobi --standard 2\n")
+    assert code == 1
+    assert ("Jacobi identity FAILS at (v[1,1], v[1,2], v[2,1]) "
+            "with defect v[1,1] - v[2,2]") in plain.splitlines()
+    kv, code = run_text("algebra { gens: x }\nybe entry-jacobi --standard 2\n",
+                        fmt="kv")
+    assert code == 1 and "defect=v[1,1] - v[2,2]" in kv.splitlines()
+    session = ("algebra { gens: x, y }\nbimodule { kind: right }\n"
+               "bracket { <x,x> = x (x) y - y (x) x ; "
+               "<x,y> = x (x) 1 + 1 (x) y }\nrep jacobi 2\n")
+    defect = "x[1,2]*y[2,1] - x[2,1]*y[1,2]"
+    plain, code = run_text(session)
+    assert code == 1 and plain.splitlines()[1].endswith(f"with defect {defect}")
+    kv, code = run_text(session, fmt="kv")
+    assert code == 1 and f"max_defect={defect}" in kv.splitlines()
+
+
+LONG_WORD_SESSION = """\
+algebra { gens: x, y }
+bimodule { kind: right }
+bracket { <x,y> = 1 (x) 1 }
+rep trace-bracket 1 x^1500 y
+"""
+
+
+def test_long_word_session_runs():
+    out, code = run_text(LONG_WORD_SESSION)
+    assert code == 0
+    assert out.splitlines()[1].endswith("} = 1500*x[1,1]^1499")
+
+
+def test_internal_failure_exits_3(monkeypatch, capsys):
+    import dbrackets.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "is_poisson", boom)
+    assert run_text(VDB_SESSION) == \
+        ("error: internal failure (RuntimeError): boom\n", 3)
+    monkeypatch.setattr(cli, "standard_r", boom)
+    assert cli.main(["ybe", "standard", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal failure (RuntimeError): boom\n"

@@ -9,7 +9,7 @@ from dbrackets import (AlgEndo, Bimodule, BimodKind, CompositeAuto,
                        DoubleBracket, FreeAlgebra, Necklace, SwapAuto,
                        TwistPairAuto, apply_equivalence, bullet_bracket,
                        check_antisymmetry, check_morphism, eval_bracket,
-                       eval_bracket_star_first, is_poisson, is_weak_poisson,
+                       is_poisson, is_weak_poisson,
                        jacobiator, lie_on_necklaces, loday_defect,
                        mult_bracket, necklace_project, swap_equivalent,
                        sym_jacobi_defect, tensor3_perm, twisted_jacobiator,
@@ -50,7 +50,7 @@ def test_eval_leibniz_order_independence():
     for db in bracket_corpus(A):
         for a in monomials(A, 3):
             for b in monomials(A, 3):
-                assert eval_bracket(db, a, b) == eval_bracket_star_first(db, a, b)
+                assert eval_bracket(db, a, b) == eval_bracket(db, a, b, star_first=True)
 
 
 def test_antisymmetry_propagates_from_table():
@@ -216,6 +216,42 @@ def test_bounded_weak_verdict_embeds_degree():
     assert w.status == "NotPoisson"
     a, b, c = w.witness
     assert weak_jacobiator(right_const(A), "12", "23", a, b, c) == w.defect
+
+
+def _eager_word_triples(alg, degree_bound):
+    """Reference: the sweep order built as one sorted list of all triples."""
+    words = sorted(alg.words_up_to(degree_bound, min_degree=1),
+                   key=lambda w: (len(w), w))
+    return sorted(itertools.product(words, repeat=3),
+                  key=lambda t: (len(t[0]) + len(t[1]) + len(t[2]),
+                                 t[0], t[1], t[2]))
+
+
+@pytest.mark.parametrize("ngens,bound", [(1, 1), (1, 4), (2, 1), (2, 2),
+                                         (2, 3), (2, 4), (3, 1), (3, 2),
+                                         (3, 3)])
+def test_word_triples_follow_the_sorted_reference(ngens, bound):
+    from dbrackets.dbracket import _word_triples
+    alg = FreeAlgebra([f"g{i}" for i in range(ngens)])
+    assert list(_word_triples(alg, bound)) == _eager_word_triples(alg, bound)
+
+
+def test_word_triples_order_is_lexicographic_on_index_tuples():
+    from dbrackets.dbracket import _word_triples
+    A = two_gen()
+    order = list(_word_triples(A, 2))
+    # not deg-lex on the factors: y comes after x*x inside a factor
+    assert order.index(((0,), (0, 0), (0,))) < order.index(((0,), (1,), (0, 0)))
+
+
+def test_word_triples_are_lazy():
+    from dbrackets.dbracket import _word_triples
+    A = two_gen()
+    assert next(iter(_word_triples(A, 40))) == ((0,), (0,), (0,))
+    # the witness is the 12th triple at bound 6, of 126^3 in the sweep
+    x, y = xy(A)
+    v = is_poisson(right_const(A), 6)
+    assert v.witness == (x, x, y * y)
 
 
 # -- equivalences -------------------------------------------------------------

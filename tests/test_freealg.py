@@ -7,7 +7,7 @@ import pytest
 
 from dbrackets import (AlgEndo, FreeAlgebra, Necklace, apply_endo,
                        necklace_project, perm_compose, poly_mul,
-                       tensor2_alg_mul, tensor3_perm, tensor_swap,
+                       tensor2_alg_mul, tensor3_perm,
                        word_reversal)
 from dbrackets.freealg import P12, P123, P132, P13, P23, P_ID
 
@@ -50,17 +50,17 @@ def test_tensor_swap_examples():
     A = two_gen()
     x, y = xy(A)
     one = A.one()
-    assert tensor_swap(A.t2(x, y)) == A.t2(y, x)
-    assert tensor_swap(A.unit2()) == A.unit2()
+    assert A.t2(x, y).swap() == A.t2(y, x)
+    assert A.unit2().swap() == A.unit2()
     d = A.t2(x, one) - A.t2(one, x)
-    assert tensor_swap(d) == A.t2(one, x) - A.t2(x, one)
+    assert d.swap() == A.t2(one, x) - A.t2(x, one)
 
 
 def test_tensor_swap_involution():
     A = two_gen()
     x, y = xy(A)
     d = A.t2(x * y, y) - A.t2(A.one(), x).scale(Fraction(3, 2))
-    assert tensor_swap(tensor_swap(d)) == d
+    assert d.swap().swap() == d
 
 
 def test_tensor3_perm_inverse_index_convention():
@@ -174,3 +174,11 @@ def test_degree_and_homogeneous_parts():
     assert f.degree() == 2
     assert f.homogeneous_part(1) == y
     assert f.homogeneous_part(0) == -A.one().scale(5)
+
+
+def test_endomorphism_of_a_long_word():
+    A = two_gen()
+    x, y = xy(A)
+    swap = AlgEndo(A, {"x": y, "y": x})
+    assert swap.apply_word((0,) * 1500) == y ** 1500
+    assert swap(x ** 1500 + x * y) == y ** 1500 + y * x

@@ -12,8 +12,7 @@ from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, NCPoly,
                        gradient_bracket, gradient_bracket_unchecked,
                        gradient_gen_table, is_fully_noncommutative,
                        is_fully_noncommutative_via_derivations, is_poisson,
-                       jacobiator, leading_part_poisson, symmetrize,
-                       tensor_swap)
+                       jacobiator, leading_part_poisson, symmetrize)
 
 
 @pytest.fixture(scope="module")

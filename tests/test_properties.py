@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dbrackets import (AlgEndo, Bimodule, DoubleBracket, FreeAlgebra, NCPoly,
                        Tensor2, check_antisymmetry, eval_bracket,
-                       necklace_project, perm_compose, poly_mul, tensor3_perm,
-                       tensor_swap)
+                       necklace_project, perm_compose, poly_mul, tensor3_perm)
 from dbrackets.freealg import P12, P123, P132, P13, P23, P_ID
 
 ALG = FreeAlgebra(["x", "y"])
@@ -55,7 +54,7 @@ def test_poly_mul_unital(p):
 @settings(max_examples=40, deadline=None)
 @given(tensors2())
 def test_tensor_swap_involution(d):
-    assert tensor_swap(tensor_swap(d)) == d
+    assert d.swap().swap() == d
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,7 +83,7 @@ def valid_brackets(draw):
     kind = draw(st.sampled_from(["outer", "inner", "left", "right"]))
     dxy = draw(tensors2(2))
     raw = draw(tensors2(2))
-    dxx = raw - tensor_swap(raw)
+    dxx = raw - raw.swap()
     entries = {("x", "y"): dxy, ("x", "x"): dxx}
     return DoubleBracket.from_pairs(Bimodule(kind, alg=ALG), entries)
 
@@ -92,7 +91,7 @@ def valid_brackets(draw):
 @settings(max_examples=25, deadline=None)
 @given(valid_brackets(), polys(2), polys(2))
 def test_eval_antisymmetry_random_brackets(db, a, b):
-    assert eval_bracket(db, a, b) == -tensor_swap(eval_bracket(db, b, a))
+    assert eval_bracket(db, a, b) == -eval_bracket(db, b, a).swap()
 
 
 @settings(max_examples=10, deadline=None)

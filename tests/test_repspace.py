@@ -123,6 +123,16 @@ def test_jacobi_defect_zero_structure():
     assert jacobi_defect(ps, f, g, h).is_zero()
 
 
+def test_long_words_need_no_recursion():
+    A = two_gen()
+    x, y = xy(A)
+    ps = induce(right_const(A), 1)
+    assert trace_bracket(ps, x ** 1500, y) == \
+        CPoly.var((0, 1, 1), 1499).scale(1500)
+    assert eval_nc(x ** 1500 - y, 1).trace() == \
+        CPoly.var((0, 1, 1), 1500) - var(1, 1, 1)
+
+
 def test_jacobi_sweep_detects_failure():
     # any bivector in two commuting variables is Poisson, so n = 1 cannot
     # expose the failure; n = 2 does

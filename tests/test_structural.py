@@ -8,9 +8,9 @@ wrappers below make the whole suite runnable as one command.
 import itertools
 
 from dbrackets import (AlgEndo, Bimodule, BimodKind, act, check_swap_commuting,
-                       eval_bracket, eval_bracket_star_first, jacobiator,
+                       eval_bracket, jacobiator,
                        jacobiator_form, permute_args, swap_bimodule,
-                       tensor3_perm, tensor_swap, weak_jacobiator)
+                       tensor3_perm, weak_jacobiator)
 from dbrackets.freealg import P123, P132, perm_invert, transposition
 from dbrackets.freealg import _tadd
 from dbrackets import Tensor3
@@ -37,7 +37,7 @@ def check_bimodule_axioms():
 def check_swap_involutions():
     x, y = xy(A)
     d = A.t2(x * y, y) - A.t2(A.one(), x).scale(3)
-    assert tensor_swap(tensor_swap(d)) == d
+    assert d.swap().swap() == d
     for kind in BimodKind:
         m = Bimodule(kind, alg=A)
         assert swap_bimodule(swap_bimodule(m)) == m
@@ -187,7 +187,7 @@ def check_leibniz_order_independence(max_deg=3):
     for db in CORPUS:
         for a in monomials(A, max_deg):
             for b in monomials(A, max_deg):
-                assert eval_bracket(db, a, b) == eval_bracket_star_first(db, a, b)
+                assert eval_bracket(db, a, b) == eval_bracket(db, a, b, star_first=True)
 
 
 def check_jacobiator_forms_agree(max_deg=3):
