@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .freealg import AlgEndo, FreeAlgebra, NCPoly, Tensor2, _tadd
 
@@ -114,9 +114,6 @@ def act(m: Bimodule, a: NCPoly, d: Tensor2, b: NCPoly) -> Tensor2:
 def swap_bimodule(m: Bimodule) -> Bimodule:
     """The action conjugated by the swap; kinds pair up outer/inner, left/right."""
     return Bimodule(_SWAP_KIND[m.kind], m.alpha, m.beta)
-
-
-Action = Callable[[NCPoly, Tensor2, NCPoly], Tensor2]
 
 
 @dataclass

@@ -258,8 +258,7 @@ def _cmd_gradient(args, rep):
     if not args or args[0] != "classify":
         raise CommandError("gradient supports: classify")
     _, opts = _opts(args[1:], {"--family": str, "--gen": str, "--degree": int,
-                               "--coeffs": str, "--poly": str,
-                               "--degree-bound": int})
+                               "--coeffs": str, "--poly": str})
     alg = FreeAlgebra(["x1", "x2", "x3"])
     kwargs = {}
     if "--poly" in opts:
@@ -284,8 +283,7 @@ def _cmd_gradient(args, rep):
             kwargs["coeffs"] = [Fraction(x) for x in raw.split(",")]
         else:
             raise CommandError("custom family needs --poly")
-    report = classify(alg, family, degree_bound=opts.get("--degree-bound", 4),
-                      **kwargs)
+    report = classify(alg, family, **kwargs)
     for line in str(report).splitlines():
         rep.say(line)
     if rep.fmt == "kv":

@@ -66,6 +66,8 @@ class CPoly(LinComb):
         return CPoly(data)
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined in a polynomial ring")
         out = CPoly.one()
         for _ in range(n):
             out = out * self
@@ -121,6 +123,11 @@ def poisson_biderivation(table: Callable, f: CPoly, g: CPoly,
     ``twist`` is provided it is applied to both partial derivatives, which
     realises the twisted Leibniz rules {f, gh} = t(g){f,h} + {f,g}t(h).
     """
+    g_partials = []
+    for w in sorted(g.variables()):
+        gw = g.partial(w)
+        if not gw.is_zero():
+            g_partials.append((w, gw if twist is None else twist(gw)))
     data = {}
     for v in sorted(f.variables()):
         fv = f.partial(v)
@@ -128,12 +135,7 @@ def poisson_biderivation(table: Callable, f: CPoly, g: CPoly,
             continue
         if twist is not None:
             fv = twist(fv)
-        for w in sorted(g.variables()):
-            gw = g.partial(w)
-            if gw.is_zero():
-                continue
-            if twist is not None:
-                gw = twist(gw)
+        for w, gw in g_partials:
             br = table(v, w)
             if br.is_zero():
                 continue

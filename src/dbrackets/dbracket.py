@@ -346,24 +346,6 @@ class JacVerdict:
     defect: Optional[Tensor3] = None
     degree: Optional[int] = None
 
-    @staticmethod
-    def poisson() -> "JacVerdict":
-        return JacVerdict("Poisson")
-
-    @staticmethod
-    def weak_poisson(sigma, sigma_prime) -> "JacVerdict":
-        return JacVerdict("WeakPoisson", sigma=sigma, sigma_prime=sigma_prime)
-
-    @staticmethod
-    def not_poisson(witness, defect, sigma=None, sigma_prime=None) -> "JacVerdict":
-        return JacVerdict("NotPoisson", witness=witness, defect=defect,
-                          sigma=sigma, sigma_prime=sigma_prime)
-
-    @staticmethod
-    def verified_up_to_degree(d, sigma=None, sigma_prime=None) -> "JacVerdict":
-        return JacVerdict("VerifiedUpToDegree", degree=d,
-                          sigma=sigma, sigma_prime=sigma_prime)
-
     def holds(self) -> bool:
         """True unless a counterexample was found."""
         return self.status != "NotPoisson"
@@ -415,11 +397,11 @@ def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
     bound and report VerifiedUpToDegree unless a witness appears.
     """
     if db.is_zero():
-        return JacVerdict.poisson()
+        return JacVerdict("Poisson")
     sound = (db.kind() in (BimodKind.OUTER, BimodKind.INNER)
              and db.bimodule.is_untwisted())
     return _sweep(db, lambda u, v, w: _jac_words(db, u, v, w), sound,
-                  degree_bound, JacVerdict.poisson())
+                  degree_bound, JacVerdict("Poisson"))
 
 
 def _sweep(db, defect_of, sound: bool, degree_bound: int, holds: JacVerdict,
@@ -435,13 +417,13 @@ def _sweep(db, defect_of, sound: bool, degree_bound: int, holds: JacVerdict,
     for u, v, w in triples:
         defect = defect_of(u, v, w)
         if not defect.is_zero():
-            return JacVerdict.not_poisson(
-                (_mono(alg, u), _mono(alg, v), _mono(alg, w)), defect,
-                sigma=sigma, sigma_prime=sigma_prime)
+            return JacVerdict("NotPoisson", sigma, sigma_prime,
+                              (_mono(alg, u), _mono(alg, v), _mono(alg, w)),
+                              defect)
     if sound:
         return holds
-    return JacVerdict.verified_up_to_degree(degree_bound, sigma=sigma,
-                                            sigma_prime=sigma_prime)
+    return JacVerdict("VerifiedUpToDegree", sigma, sigma_prime,
+                      degree=degree_bound)
 
 
 def _weak_words(db, s, sp, u, v, w) -> Tensor3:
@@ -465,14 +447,14 @@ def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
     s_name = "".join(str(i) for i in (1, 2, 3) if s[i - 1] != i)
     sp_name = "".join(str(i) for i in (1, 2, 3) if sp[i - 1] != i)
     if db.is_zero():
-        return JacVerdict.weak_poisson(s_name, sp_name)
+        return JacVerdict("WeakPoisson", s_name, sp_name)
     untwisted = db.bimodule.is_untwisted()
     sound = ((db.kind() is BimodKind.RIGHT and untwisted
               and (s_name, sp_name) == ("12", "12"))
              or (db.kind() is BimodKind.LEFT and untwisted
                  and (s_name, sp_name) == ("12", "13")))
     return _sweep(db, lambda u, v, w: _weak_words(db, s, sp, u, v, w), sound,
-                  degree_bound, JacVerdict.weak_poisson(s_name, sp_name),
+                  degree_bound, JacVerdict("WeakPoisson", s_name, sp_name),
                   s_name, sp_name)
 
 

@@ -35,11 +35,6 @@ P132 = (3, 1, 2)  # 1->3->2->1
 
 TRANSPOSITIONS = {"12": P12, "13": P13, "23": P23}
 
-_PERM_NAMES = {
-    P_ID: "id", P12: "(12)", P13: "(13)", P23: "(23)",
-    P123: "(123)", P132: "(132)",
-}
-
 
 def perm_compose(s, r):
     """Composition s*r acting as (s*r)(i) = s(r(i))."""
@@ -51,10 +46,6 @@ def perm_invert(s):
     for i, si in enumerate(s):
         inv[si - 1] = i + 1
     return tuple(inv)
-
-
-def perm_name(s):
-    return _PERM_NAMES[tuple(s)]
 
 
 def transposition(name) -> tuple:
@@ -408,9 +399,6 @@ class Tensor3(_OverAlgebra):
             return _slotwise_mul(self, other)
         return self.scale(other)
 
-    def permute(self, sigma) -> "Tensor3":
-        return tensor3_perm(sigma, self)
-
     def __str__(self):
         fmt = self.alg.format_word
         return self._format(
@@ -436,6 +424,23 @@ def tensor3_perm(sigma, t: Tensor3) -> Tensor3:
 # algebra endomorphisms
 # ---------------------------------------------------------------------------
 
+def _word_image(memo: dict, w: Word, letter_image, mul):
+    """The image of the word w under a monoid map, memoised in ``memo``.
+
+    ``memo[()]`` holds the unit; the letters' images are folded onto it
+    from the left with ``mul``, one letter at a time (no recursion).  Only
+    w itself is stored, never its prefixes, so the memo's size is linear
+    in the total length of the words requested.
+    """
+    out = memo.get(w)
+    if out is None:
+        out = memo[()]
+        for g in w:
+            out = mul(out, letter_image(g))
+        memo[w] = out
+    return out
+
+
 class AlgEndo:
     """Algebra homomorphism between free algebras, given on generators.
 
@@ -444,7 +449,7 @@ class AlgEndo:
     of double brackets may connect two different algebras.
     """
 
-    __slots__ = ("domain", "codomain", "images", "_word_cache")
+    __slots__ = ("domain", "codomain", "images", "_memo")
 
     def __init__(self, domain: FreeAlgebra, images: Mapping,
                  codomain: FreeAlgebra | None = None):
@@ -460,7 +465,7 @@ class AlgEndo:
                 raise ValueError(
                     f"no image given for generator {domain.names[i]!r}")
         self.images = imgs
-        self._word_cache = {(): self.codomain.one()}
+        self._memo = {(): self.codomain.one()}
 
     @classmethod
     def identity(cls, alg: FreeAlgebra) -> "AlgEndo":
@@ -473,17 +478,8 @@ class AlgEndo:
                    for i in range(self.domain.ngens))
 
     def apply_word(self, w: Word) -> NCPoly:
-        """The image of a word, extending the longest cached prefix one
-        letter at a time (no recursion) and caching every prefix."""
-        cache = self._word_cache
-        k = len(w)
-        while w[:k] not in cache:
-            k -= 1
-        out = cache[w[:k]]
-        for i in range(k, len(w)):
-            out = poly_mul(out, self.images[w[i]])
-            cache[w[:i + 1]] = out
-        return out
+        """The image of a word, memoised per endomorphism."""
+        return _word_image(self._memo, w, self.images.__getitem__, poly_mul)
 
     def __call__(self, p: NCPoly) -> NCPoly:
         return apply_endo(self, p)

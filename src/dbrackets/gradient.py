@@ -194,8 +194,7 @@ class ClassifyReport:
         return "\n".join(lines)
 
 
-def classify(alg: FreeAlgebra, family: str, *, degree_bound: int = 4,
-             **kwargs) -> ClassifyReport:
+def classify(alg: FreeAlgebra, family: str, **kwargs) -> ClassifyReport:
     """Build the gradient bracket of a family member and run its verdicts.
 
     The Poisson decision is exact (generator triples suffice on the
@@ -204,7 +203,7 @@ def classify(alg: FreeAlgebra, family: str, *, degree_bound: int = 4,
     """
     f = family_polynomial(alg, family, **kwargs)
     db = gradient_bracket(f)
-    verdict = is_poisson(db, degree_bound)
+    verdict = is_poisson(db)
     defects = {}
     for k in range(3):
         d = eval_bracket(db, f, alg.gen(k))

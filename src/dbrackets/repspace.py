@@ -11,6 +11,7 @@ two matrix-tensor notations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 from .bimodule import BimodKind
 from .commpoly import CPoly, poisson_biderivation
 from .dbracket import DoubleBracket
-from .freealg import AlgEndo, FreeAlgebra, NCPoly, Necklace
+from .freealg import AlgEndo, FreeAlgebra, NCPoly, Necklace, _word_image
 
 # entry variables are (generator index, row, col) with 1-based row/col
 EntryVar = tuple
@@ -70,36 +71,22 @@ class MatPoly:
         return isinstance(other, MatPoly) and self.n == other.n and self.rows == other.rows
 
 
-_GENERIC_CACHE: dict = {}
-
-
-def generic_matrix(alg: FreeAlgebra, g: int, n: int) -> MatPoly:
-    key = (alg.names, g, n)
-    m = _GENERIC_CACHE.get(key)
-    if m is None:
-        m = MatPoly(n, [[CPoly.var((g, i + 1, j + 1)) for j in range(n)]
-                        for i in range(n)])
-        _GENERIC_CACHE[key] = m
-    return m
-
-
+# one memo per (generator names, n): the unit, each generator's generic
+# matrix, and the product along every word evaluated (never along its
+# prefixes); kept for the life of the process
 _WORD_CACHE: dict = {}
 
 
 def _word_matrix(alg: FreeAlgebra, w, n: int) -> MatPoly:
-    """The product of generic matrices along w, extending the longest
-    cached prefix one letter at a time (no recursion); caches every prefix."""
-    names = alg.names
-    k = len(w)
-    while k and (names, w[:k], n) not in _WORD_CACHE:
-        k -= 1
-    m = _WORD_CACHE.get((names, w[:k], n))
-    if m is None:
-        m = _WORD_CACHE[(names, (), n)] = MatPoly.identity(n)
-    for i in range(k, len(w)):
-        m = m * generic_matrix(alg, w[i], n)
-        _WORD_CACHE[(names, w[:i + 1], n)] = m
-    return m
+    """The product of generic matrices along w."""
+    memo = _WORD_CACHE.get((alg.names, n))
+    if memo is None:
+        rng = range(1, n + 1)
+        memo = _WORD_CACHE[(alg.names, n)] = {(): MatPoly.identity(n)}
+        for g in range(alg.ngens):
+            memo[(g,)] = MatPoly(n, [[CPoly.var((g, i, j)) for j in rng]
+                                     for i in rng])
+    return _word_image(memo, w, lambda g: memo[(g,)], operator.mul)
 
 
 def eval_nc(p: NCPoly, n: int) -> MatPoly:
@@ -112,6 +99,18 @@ def eval_nc(p: NCPoly, n: int) -> MatPoly:
             for data, entry in zip(acc_row, row):
                 entry.add_into(data, c)
     return MatPoly(n, [[CPoly(data) for data in row] for row in acc])
+
+
+def _entry_images(phi: AlgEndo, n: int) -> dict:
+    """Entry variable -> its image under the entrywise extension of phi:
+    the entries of eval_nc(phi(g), n), one evaluation per generator."""
+    out = {}
+    for g in range(phi.domain.ngens):
+        rows = eval_nc(phi(phi.domain.gen(g)), n).rows
+        for i, row in enumerate(rows, 1):
+            for j, entry in enumerate(row, 1):
+                out[(g, i, j)] = entry
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +134,12 @@ class PoissonStructure:
     Determined by its values on pairs of generator-entry variables; the
     extension to arbitrary polynomials follows the (twisted) biderivation
     rules.  ``twist`` is None for the untwisted case, else the algebra
-    endomorphism whose entrywise action twists the Leibniz rules.
+    endomorphism whose entrywise action twists the Leibniz rules;
+    ``twist_images`` then maps each entry variable to its image under that
+    action (None when untwisted).  Nothing changes after construction.
     """
 
-    __slots__ = ("alg", "n", "kind", "twist", "table", "_twist_var_cache")
+    __slots__ = ("alg", "n", "kind", "twist", "table", "twist_images")
 
     def __init__(self, alg: FreeAlgebra, n: int, kind: BimodKind,
                  table: dict, twist: Optional[AlgEndo] = None):
@@ -147,7 +148,8 @@ class PoissonStructure:
         self.kind = kind
         self.twist = twist
         self.table = table
-        self._twist_var_cache = {}
+        self.twist_images = (None if self.is_untwisted()
+                             else _entry_images(twist, n))
 
     def variables(self) -> list:
         return [(g, i, j) for g in range(self.alg.ngens)
@@ -159,16 +161,8 @@ class PoissonStructure:
     def is_untwisted(self) -> bool:
         return self.twist is None or self.twist.is_identity()
 
-    def _twist_var(self, v: EntryVar) -> CPoly:
-        out = self._twist_var_cache.get(v)
-        if out is None:
-            g, i, j = v
-            out = eval_nc(self.twist(self.alg.gen(g)), self.n).entry(i, j)
-            self._twist_var_cache[v] = out
-        return out
-
     def _twist_poly(self, f: CPoly) -> CPoly:
-        return f.substitute(self._twist_var)
+        return f.substitute(self.twist_images.__getitem__)
 
     def format_entry(self, v: EntryVar) -> str:
         return entry_name(self.alg, v)
@@ -321,15 +315,11 @@ def check_rep_morphism(phi: AlgEndo, db1: DoubleBracket, db2: DoubleBracket,
                                                       BimodKind.RIGHT):
         raise ValueError("rep morphism check needs a shared outer or right kind")
     ps1, ps2 = induce(db1, n), induce(db2, n)
-
-    def phi_n(v: EntryVar) -> CPoly:
-        g, i, j = v
-        return eval_nc(phi(db1.alg.gen(g)), n).entry(i, j)
-
+    phi_n = _entry_images(phi, n)
     for v in ps1.variables():
         for w in ps1.variables():
-            lhs = poisson_eval(ps2, phi_n(v), phi_n(w))
-            rhs = ps1.pair_bracket(v, w).substitute(phi_n)
+            lhs = poisson_eval(ps2, phi_n[v], phi_n[w])
+            rhs = ps1.pair_bracket(v, w).substitute(phi_n.__getitem__)
             if lhs != rhs:
                 return False
     return True

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from dbrackets import FreeAlgebra
-from dbrackets.cli import run_text
+from dbrackets.cli import main, run_text
 from dbrackets.parsing import (ParseError, format_session, parse_poly,
                                parse_session, parse_tensor2)
 
@@ -180,6 +180,13 @@ def test_session_ybe_and_gradient_commands(tmp_path):
     out, code = run_text(text)
     assert code == 0
     assert "cybe defect: 0" in out and "verdict: Poisson" in out
+
+
+def test_gradient_classify_rejects_degree_bound(capsys):
+    code = main(["gradient", "classify", "--family", "sum-power",
+                 "--degree", "3", "--degree-bound", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown option --degree-bound\n"
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

@@ -182,3 +182,14 @@ def test_endomorphism_of_a_long_word():
     swap = AlgEndo(A, {"x": y, "y": x})
     assert swap.apply_word((0,) * 1500) == y ** 1500
     assert swap(x ** 1500 + x * y) == y ** 1500 + y * x
+
+
+def test_endomorphism_memoises_requested_words_only():
+    A = two_gen()
+    x, y = xy(A)
+    e = AlgEndo(A, {"x": y.scale(2), "y": x})
+    w = (0, 1) * 250
+    image = e.apply_word(w)
+    assert set(e._memo) == {(), w}
+    assert e.apply_word(w) is image
+    assert image == (y * x).scale(2) ** 250

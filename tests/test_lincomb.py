@@ -143,3 +143,11 @@ def test_mattensor_printing():
     assert str(MatTensor3(2)) == "0"
     assert repr(MatTensor2(2, {(2, 1, 1, 2): "1/3"})) == \
         "<MatTensor2 N=2 1/3*e[2,1](x)e[1,2]>"
+
+
+def test_negative_powers_raise():
+    with pytest.raises(ValueError):
+        CPoly.var("a") ** -1
+    with pytest.raises(ValueError):
+        X ** -1
+    assert CPoly.var("a") ** 0 == CPoly.one()

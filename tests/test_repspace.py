@@ -133,6 +133,40 @@ def test_long_words_need_no_recursion():
         CPoly.var((0, 1, 1), 1500) - var(1, 1, 1)
 
 
+def test_long_word_adds_one_memo_entry():
+    from dbrackets import repspace
+    A = FreeAlgebra(["x"])
+    eval_nc(A.one(), 1)
+    memo = repspace._WORD_CACHE[(A.names, 1)]
+    before = len(memo)
+    assert eval_nc(A.gen(0) ** 4000, 1).entry(1, 1) == \
+        CPoly.var((0, 1, 1), 4000)
+    assert len(memo) == before + 1
+
+
+def test_twisted_induce_exposes_twist_images():
+    A = two_gen()
+    x, y = xy(A)
+    alpha = AlgEndo(A, {"x": x * y + A.one(), "y": y.scale(2)})
+    db = DoubleBracket.from_pairs(Bimodule("outer", alpha, alpha),
+                                  {("x", "y"): A.unit2()})
+    n = 2
+    ps = induce(db, n)
+    assert len(ps.twist_images) == A.ngens * n * n
+    for g in range(A.ngens):
+        m = eval_nc(alpha(A.gen(g)), n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert ps.twist_images[(g, i, j)] == m.entry(i, j)
+    # the twisted Leibniz rule {f, gh} = t(g){f,h} + {f,g}t(h)
+    f, g, h = var(0, 1, 2), var(1, 2, 1), var(0, 2, 2)
+    t = ps.twist_images
+    assert poisson_eval(ps, f, g * h) == \
+        t[(1, 2, 1)] * poisson_eval(ps, f, h) + \
+        poisson_eval(ps, f, g) * t[(0, 2, 2)]
+    assert induce(outer_poisson(A), n).twist_images is None
+
+
 def test_jacobi_sweep_detects_failure():
     # any bivector in two commuting variables is Poisson, so n = 1 cannot
     # expose the failure; n = 2 does
