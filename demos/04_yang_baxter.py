@@ -31,7 +31,8 @@ print("skew:", jord.swap() == -jord)
 print("defect is zero:", cybe_defect(jord).is_zero())
 eb = entry_bracket(jord)
 print("entry-bracket Jacobi:", check_entry_jacobi(eb))
-print("{v11, v12} =", eb.format_value(eb.pair((1, 1), (1, 2))))
+print("{v11, v12} =",
+      eb.pair((1, 1), (1, 2)).to_str(eb.poisson_structure().format_entry))
 
 print()
 print("== a genuine non-solution ==")

@@ -141,34 +141,32 @@ def _mono(alg, w) -> NCPoly:
 
 
 def _eval_words(db: DoubleBracket, u, v, star_first: bool = False) -> Tensor2:
-    """<<u, v>> for words u, v via the Leibniz rules.
+    """<<u, v>> for words u, v by the Leibniz rules, memoised per bracket.
 
-    Every occurrence pair contributes prefix/suffix actions around the
-    generator-pair value: the second argument acts through the bracket's
-    bimodule, the first through its swap.  ``star_first`` changes the order
-    in which the two actions are applied, which must not change the result
-    for swap-commuting structures.
+    v expands through the bracket's bimodule, <<u, v>> = sum_l v[:l] .
+    <<u, v_l>> . v[l+1:], and u through its swap, <<u, v>> = sum_k u[:k] *
+    <<u_k, v>> * u[k+1:].  The outer loop runs over v if ``star_first``,
+    over u if not, and never over a single letter; its pieces have a
+    one-letter argument and are memoised, so the recursion is at most two
+    calls deep.  For swap-commuting structures the order cannot matter.
     """
     key = (u, v, star_first)
     out = db._eval_cache.get(key)
-    if out is not None:
-        return out
-    alg = db.alg
-    dot, star = db.bimodule, db._star
-    total = {}
-    for k in range(len(u)):
-        for l in range(len(v)):
-            d = db.gen_table[(u[k], v[l])]
-            if d.is_zero():
-                continue
-            if star_first:
-                t = act(star, _mono(alg, u[:k]), d, _mono(alg, u[k + 1:]))
-                t = act(dot, _mono(alg, v[:l]), t, _mono(alg, v[l + 1:]))
-            else:
-                t = act(dot, _mono(alg, v[:l]), d, _mono(alg, v[l + 1:]))
-                t = act(star, _mono(alg, u[:k]), t, _mono(alg, u[k + 1:]))
-            t.add_into(total)
-    out = db._eval_cache[key] = Tensor2(alg, total)
+    if out is None:
+        if len(u) == 1 and len(v) == 1:
+            out = db.gen_table[(u[0], v[0])]
+        else:
+            second = len(v) != 1 and (star_first or len(u) == 1)
+            word, m = (v, db.bimodule) if second else (u, db._star)
+            data = {}
+            for k, g in enumerate(word):  # an empty word gives zero
+                piece = (_eval_words(db, u, (g,), star_first) if second
+                         else _eval_words(db, (g,), v, star_first))
+                if piece.terms:
+                    act(m, _mono(db.alg, word[:k]), piece,
+                        _mono(db.alg, word[k + 1:])).add_into(data)
+            out = Tensor2(db.alg, data)
+        db._eval_cache[key] = out
     return out
 
 
@@ -192,70 +190,80 @@ def eval_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly,
 # the four pairing maps into the tensor cube
 # ---------------------------------------------------------------------------
 
-def _pair(db: DoubleBracket, d: Tensor2, bracket_word, factor: int,
-          slot: int) -> Tensor3:
-    """The loop of the four pairing maps: for each term c w_0 (x) w_1 of d,
-    ``bracket_word(w_factor)`` gives u1 (x) u2, and the other word of d is
-    put at position ``slot`` of the cube term next to u1, u2."""
-    alg = db.alg
+def _pair(db: DoubleBracket, p: NCPoly, d: Tensor2, p_first: bool,
+          factor: int, slot: int) -> Tensor3:
+    """The loop of the four pairing maps: for each term c w_0 (x) w_1 of d
+    and each word x of p, the bracket of x with w_factor (x first if
+    ``p_first``) gives terms u1 (x) u2, and the other word of d is put at
+    position ``slot`` of the cube term next to u1, u2."""
+    db.alg._check(p)
     data = {}
     for w, c in d.terms.items():
         kept = w[1 - factor]
-        for (u1, u2), ci in bracket_word(_mono(alg, w[factor])).terms.items():
-            key = ((kept, u1, u2) if slot == 0 else
-                   (u1, kept, u2) if slot == 1 else (u1, u2, kept))
-            _tadd(data, key, c * ci)
-    return Tensor3(alg, data)
+        for x, cx in p.terms.items():
+            t = (_eval_words(db, x, w[factor]) if p_first
+                 else _eval_words(db, w[factor], x))
+            cc = c * cx
+            for u12, ci in t.terms.items():
+                _tadd(data, u12[:slot] + (kept,) + u12[slot:], cc * ci)
+    return Tensor3(db.alg, data)
 
 
 def bracket_left(db: DoubleBracket, a: NCPoly, d: Tensor2) -> Tensor3:
     """<<a, d' >> (x) d''."""
-    return _pair(db, d, lambda p: eval_bracket(db, a, p), 0, 2)
+    return _pair(db, a, d, True, 0, 2)
 
 
 def bracket_right(db: DoubleBracket, a: NCPoly, d: Tensor2) -> Tensor3:
     """d' (x) <<a, d''>>."""
-    return _pair(db, d, lambda p: eval_bracket(db, a, p), 1, 0)
+    return _pair(db, a, d, True, 1, 0)
 
 
 def bracket_pair_left(db: DoubleBracket, d: Tensor2, b: NCPoly) -> Tensor3:
     """<<d', b>>' (x) d'' (x) <<d', b>>''."""
-    return _pair(db, d, lambda p: eval_bracket(db, p, b), 0, 1)
+    return _pair(db, b, d, False, 0, 1)
 
 
 def bracket_pair_right(db: DoubleBracket, d: Tensor2, b: NCPoly) -> Tensor3:
     """d' (x) <<d'', b>>."""
-    return _pair(db, d, lambda p: eval_bracket(db, p, b), 1, 0)
+    return _pair(db, b, d, False, 1, 0)
 
 
 # ---------------------------------------------------------------------------
 # Jacobiators
 # ---------------------------------------------------------------------------
 
-def _jac_words(db: DoubleBracket, u, v, w) -> Tensor3:
-    key = (u, v, w)
-    out = db._jac_cache.get(key)
-    if out is not None:
-        return out
-    alg = db.alg
-    pu, pv, pw = _mono(alg, u), _mono(alg, v), _mono(alg, w)
-    out = (bracket_left(db, pu, _eval_words(db, v, w))
-           + tensor3_perm(P123, bracket_left(db, pv, _eval_words(db, w, u)))
-           + tensor3_perm(P132, bracket_left(db, pw, _eval_words(db, u, v))))
-    db._jac_cache[key] = out
-    return out
+def _cyclic(term, a, b, c) -> Tensor3:
+    """term(a, b, c) + P123 term(b, c, a) + P132 term(c, a, b), the cyclic
+    sum behind every form of the Jacobiator."""
+    return (term(a, b, c) + tensor3_perm(P123, term(b, c, a))
+            + tensor3_perm(P132, term(c, a, b)))
 
 
-def jacobiator(db: DoubleBracket, a: NCPoly, b: NCPoly, c: NCPoly) -> Tensor3:
-    """The cyclic sum <<a,<<b,c>>>>_L + perms, valued in the tensor cube."""
+def _trilinear(db: DoubleBracket, of_words, a, b, c) -> Tensor3:
+    """The trilinear extension of ``of_words(u, v, w)`` to polynomials."""
     for p in (a, b, c):
         db.alg._check(p)
     data = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
             for w, cw in c.terms.items():
-                _jac_words(db, u, v, w).add_into(data, cu * cv * cw)
+                of_words(u, v, w).add_into(data, cu * cv * cw)
     return Tensor3(db.alg, data)
+
+
+def _jac_words(db: DoubleBracket, u, v, w) -> Tensor3:
+    out = db._jac_cache.get((u, v, w))
+    if out is None:
+        out = db._jac_cache[(u, v, w)] = _cyclic(
+            lambda x, y, z: bracket_left(db, _mono(db.alg, x),
+                                         _eval_words(db, y, z)), u, v, w)
+    return out
+
+
+def jacobiator(db: DoubleBracket, a: NCPoly, b: NCPoly, c: NCPoly) -> Tensor3:
+    """The cyclic sum <<a,<<b,c>>>>_L + perms, valued in the tensor cube."""
+    return _trilinear(db, lambda u, v, w: _jac_words(db, u, v, w), a, b, c)
 
 
 def jacobiator_form(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
@@ -268,38 +276,29 @@ def jacobiator_form(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
 
     All four agree on every double bracket.
     """
-    singles = [next(iter(p.terms)) if len(p.terms) == 1
-               and next(iter(p.terms.values())) == 1 else None
-               for p in (a, b, c)]
-    key = None
-    if all(w is not None for w in singles):
-        key = (form, singles[0], singles[1], singles[2])
-        cached = db._jac_cache.get(key)
-        if cached is not None:
-            return cached
-    out = _jacobiator_form_raw(db, form, a, b, c)
+    key = ((form,) + tuple(next(iter(p.terms)) for p in (a, b, c))
+           if all(list(p.terms.values()) == [1] for p in (a, b, c)) else None)
+    out = db._jac_cache.get(key)
+    if out is not None:
+        return out
+    if form == "left":
+        out = jacobiator(db, a, b, c)
+    elif form == "mixed":
+        out = (bracket_left(db, a, eval_bracket(db, b, c))
+               - bracket_right(db, b, eval_bracket(db, a, c))
+               - bracket_pair_left(db, eval_bracket(db, a, b), c))
+    elif form == "right":
+        out = -_cyclic(lambda x, y, z: bracket_right(
+            db, y, eval_bracket(db, x, z)), a, b, c)
+    elif form == "pair-right":
+        out = tensor3_perm(P12, _cyclic(lambda x, y, z: bracket_pair_right(
+            db, eval_bracket(db, z, x), y), a, c, b))
+    else:
+        raise ValueError(
+            f"unknown jacobiator form {form!r}; choose from {JAC_FORMS}")
     if key is not None:
         db._jac_cache[key] = out
     return out
-
-
-def _jacobiator_form_raw(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
-    if form == "left":
-        return jacobiator(db, a, b, c)
-    if form == "mixed":
-        return (bracket_left(db, a, eval_bracket(db, b, c))
-                - bracket_right(db, b, eval_bracket(db, a, c))
-                - bracket_pair_left(db, eval_bracket(db, a, b), c))
-    if form == "right":
-        return -(bracket_right(db, b, eval_bracket(db, a, c))
-                 + tensor3_perm(P123, bracket_right(db, c, eval_bracket(db, b, a)))
-                 + tensor3_perm(P132, bracket_right(db, a, eval_bracket(db, c, b))))
-    if form == "pair-right":
-        inner = (bracket_pair_right(db, eval_bracket(db, b, a), c)
-                 + tensor3_perm(P123, bracket_pair_right(db, eval_bracket(db, a, c), b))
-                 + tensor3_perm(P132, bracket_pair_right(db, eval_bracket(db, c, b), a)))
-        return tensor3_perm(P12, inner)
-    raise ValueError(f"unknown jacobiator form {form!r}; choose from {JAC_FORMS}")
 
 
 def permute_args(sigma, args: tuple) -> tuple:
@@ -317,9 +316,8 @@ def weak_jacobiator(db: DoubleBracket, sigma, sigma_prime, a, b, c) -> Tensor3:
     """
     s = transposition(sigma)
     sp = transposition(sigma_prime)
-    pa, pb, pc = permute_args(sp, (a, b, c))
-    return jacobiator(db, a, b, c) - tensor3_perm(
-        perm_invert(s), jacobiator(db, pa, pb, pc))
+    return _trilinear(db, lambda u, v, w: _weak_words(db, s, sp, u, v, w),
+                      a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +394,8 @@ def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
     exactly.  All other configurations sweep word triples up to the degree
     bound and report VerifiedUpToDegree unless a witness appears.
     """
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
     if db.is_zero():
         return JacVerdict("Poisson")
     sound = (db.kind() in (BimodKind.OUTER, BimodKind.INNER)
@@ -442,6 +442,8 @@ def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
     Jacobiator is a derivation in each slot.  Everything else is a bounded
     sweep.
     """
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
     s = transposition(sigma)
     sp = transposition(sigma_prime)
     s_name = "".join(str(i) for i in (1, 2, 3) if s[i - 1] != i)
@@ -481,6 +483,8 @@ def check_antisymmetry(db: DoubleBracket, degree_bound: int = 3) -> AntisymRepor
     self-check; it is the tool that exhibits failures for tables built with
     the unchecked constructor.
     """
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
     alg = db.alg
     words = sorted(alg.words_up_to(degree_bound), key=_deglex)
     pairs = 0
@@ -631,9 +635,7 @@ def mult_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly) -> NCPoly:
 
 def loday_defect(db: DoubleBracket, side: str, a, b, c) -> NCPoly:
     """Failure of the left or right Loday identity for the mult bracket."""
-    def br(p, q):
-        return mult_bracket(db, p, q)
-
+    br = functools.partial(mult_bracket, db)
     if side == "left":
         return br(a, br(b, c)) - br(br(a, b), c) - br(b, br(a, c))
     if side == "right":
@@ -662,15 +664,11 @@ def twisted_jacobiator(db: DoubleBracket, side: str, alpha: AlgEndo,
     version matches it after conjugation by the (12) factor swap.
     """
     if side == "left":
-        t1 = _endo_slot(alpha, bracket_left(db, a, eval_bracket(db, b, c)), 2)
-        t2 = _endo_slot(alpha, bracket_left(db, b, eval_bracket(db, c, a)), 2)
-        t3 = _endo_slot(alpha, bracket_left(db, c, eval_bracket(db, a, b)), 2)
-        return t1 + tensor3_perm(P123, t2) + tensor3_perm(P132, t3)
+        return _cyclic(lambda x, y, z: _endo_slot(alpha, bracket_left(
+            db, x, eval_bracket(db, y, z)), 2), a, b, c)
     if side == "right":
-        t1 = _endo_slot(alpha, bracket_pair_right(db, eval_bracket(db, a, b), c), 0)
-        t2 = _endo_slot(alpha, bracket_pair_right(db, eval_bracket(db, b, c), a), 0)
-        t3 = _endo_slot(alpha, bracket_pair_right(db, eval_bracket(db, c, a), b), 0)
-        return t1 + tensor3_perm(P123, t2) + tensor3_perm(P132, t3)
+        return _cyclic(lambda x, y, z: _endo_slot(alpha, bracket_pair_right(
+            db, eval_bracket(db, x, y), z), 0), a, b, c)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -727,11 +725,9 @@ def sym_jacobi_defect(db: DoubleBracket, na: Necklace, nb: Necklace,
     it as a biderivation, and its Jacobi defect vanishes identically when
     the underlying right-kind bracket is (12)-weak Poisson.
     """
-    def table(v, w):
-        return sym_necklace_bracket(db, v, w)
-
     def pb(f, g):
-        return poisson_biderivation(table, f, g)
+        return poisson_biderivation(
+            functools.partial(sym_necklace_bracket, db), f, g)
 
     fa, fb, fc = CPoly.var(na), CPoly.var(nb), CPoly.var(nc)
     return pb(fa, pb(fb, fc)) + pb(fb, pb(fc, fa)) + pb(fc, pb(fa, fb))

@@ -241,9 +241,6 @@ class FreeAlgebra:
     def zero2(self) -> "Tensor2":
         return Tensor2(self, {})
 
-    def zero3(self) -> "Tensor3":
-        return Tensor3(self, {})
-
     def unit2(self) -> "Tensor2":
         return Tensor2(self, {((), ()): Fraction(1)})
 

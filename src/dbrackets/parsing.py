@@ -36,8 +36,9 @@ class ParseError(ValueError):
         self.col = col
 
 
-_SYMBOLS = ("->", "{", "}", "(", ")", "<", ">", ",", ";", ":", "=",
-            "+", "-", "*", "^", "/")
+# each level of parentheses costs four parser frames, so this limit keeps
+# the parse well inside the interpreter's recursion limit
+_MAX_NESTING = 100
 
 
 @dataclass
@@ -114,6 +115,7 @@ class _Cursor:
             tokens = iter(tokens)
         self._source = tokens
         self._buffer = []
+        self.depth = 0  # open parentheses
 
     def peek(self) -> Token:
         if not self._buffer:
@@ -168,9 +170,14 @@ def _parse_atom(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
         except ValueError:
             raise ParseError(f"undeclared generator {t.value!r}",
                              t.line, t.col) from None
-    if cur.accept("("):
+    if t.kind == "(":
+        if cur.depth == _MAX_NESTING:
+            cur.fail(f"parentheses nested more than {_MAX_NESTING} deep")
+        cur.next()
+        cur.depth += 1
         p = _parse_poly_expr(cur, alg)
         cur.expect(")")
+        cur.depth -= 1
         return p
     cur.fail(f"expected a polynomial, found {t.value!r}")
 

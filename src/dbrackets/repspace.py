@@ -179,6 +179,8 @@ def induce(db: DoubleBracket, n: int) -> PoissonStructure:
     the bimodule kind; equal twists are carried over, a twist pair with
     different components is rejected.
     """
+    if n < 1:
+        raise ValueError("matrix size must be >= 1")
     if db.bimodule.alpha != db.bimodule.beta:
         raise ValueError("inducing on matrix entries needs equal twists")
     alg, kind = db.alg, db.kind()

@@ -170,9 +170,6 @@ class EntryBracket:
                  for (ij, kl), p in self.table.items() if not p.is_zero()}
         return PoissonStructure(_ENTRY_ALG, self.N, BimodKind.RIGHT, table)
 
-    def format_value(self, p: CPoly) -> str:
-        return p.to_str(lambda v: f"v[{v[1]},{v[2]}]")
-
 
 def entry_bracket(r: MatTensor2) -> EntryBracket:
     """{v_ij, v_kl} as the ((i,j),(k,l)) coefficient of [r, V1] - [r°, V2]."""

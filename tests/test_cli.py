@@ -7,8 +7,8 @@ import pytest
 
 from dbrackets import FreeAlgebra
 from dbrackets.cli import main, run_text
-from dbrackets.parsing import (ParseError, format_session, parse_poly,
-                               parse_session, parse_tensor2)
+from dbrackets.parsing import (_MAX_NESTING, ParseError, format_session,
+                               parse_poly, parse_session, parse_tensor2)
 
 from helpers import two_gen
 
@@ -266,3 +266,44 @@ def test_internal_failure_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal failure (RuntimeError): boom\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("check poisson --degree 0", "degree_bound must be >= 1"),
+    ("check poisson --degree -2", "degree_bound must be >= 1"),
+    ("check weak-poisson --sigma 12 --degree 0", "degree_bound must be >= 1"),
+    ("check antisym --degree -1", "degree_bound must be >= 1"),
+    ("rep jacobi 0", "matrix size must be >= 1"),
+    ("rep jacobi -1", "matrix size must be >= 1"),
+    ("rep induce -1", "matrix size must be >= 1"),
+])
+def test_vacuous_bounds_are_usage_errors(command, message):
+    assert run_text(VDB_SESSION.replace("check poisson", command)) == \
+        (f"error: {message}\n", 2)
+
+
+def _nested(depth, name):
+    return "(" * depth + name + ")" * depth
+
+
+def test_parenthesis_nesting_is_bounded(capsys):
+    def session(depth):
+        return VDB_SESSION.replace("<x,y> = 0",
+                                   f"<x,y> = {_nested(depth, 'y')} (x) y")
+
+    assert run_text(session(_MAX_NESTING)) == run_text(session(0))
+    column = VDB_SESSION.splitlines()[2].index("<x,y> = 0") + 9
+    for depth in (_MAX_NESTING + 1, 4 * _MAX_NESTING):
+        assert run_text(session(depth)) == (
+            f"error: line 3, column {column + _MAX_NESTING}: "
+            f"parentheses nested more than {_MAX_NESTING} deep\n", 2)
+    assert main(["gradient", "classify", "--poly",
+                 _nested(_MAX_NESTING, "x1")]) == 0
+    capsys.readouterr()
+    assert main(["gradient", "classify", "--poly",
+                 _nested(6 * _MAX_NESTING, "x1")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: line 1, column {_MAX_NESTING + 1}: "
+        f"parentheses nested more than {_MAX_NESTING} deep\n")

@@ -6,14 +6,17 @@ from fractions import Fraction
 import pytest
 
 from dbrackets import (AlgEndo, Bimodule, BimodKind, CompositeAuto,
-                       DoubleBracket, FreeAlgebra, Necklace, SwapAuto,
-                       TwistPairAuto, apply_equivalence, bullet_bracket,
-                       check_antisymmetry, check_morphism, eval_bracket,
-                       is_poisson, is_weak_poisson,
+                       DoubleBracket, FreeAlgebra, Necklace, SwapAuto, Tensor3,
+                       TwistPairAuto, apply_equivalence, bracket_left,
+                       bracket_pair_left, bracket_pair_right, bracket_right,
+                       bullet_bracket, check_antisymmetry, check_morphism,
+                       eval_bracket, is_poisson, is_weak_poisson,
                        jacobiator, lie_on_necklaces, loday_defect,
-                       mult_bracket, necklace_project, swap_equivalent,
-                       sym_jacobi_defect, tensor3_perm, twisted_jacobiator,
-                       weak_jacobiator)
+                       mult_bracket, necklace_project, swap_bimodule,
+                       swap_equivalent, sym_jacobi_defect, tensor3_perm,
+                       twisted_jacobiator, weak_jacobiator)
+from dbrackets.bimodule import act
+from dbrackets.dbracket import _eval_words
 from dbrackets.freealg import P12, P123, P132
 
 from helpers import (bracket_corpus, monomials, outer_poisson, right_const,
@@ -75,6 +78,131 @@ def test_table_invariant_enforced():
     DoubleBracket.from_pairs(
         Bimodule("outer", alg=A),
         {("x", "y"): A.unit2(), ("y", "x"): -A.unit2()})
+
+
+# -- the Leibniz evaluator against the letter-pair reference ------------------
+
+def _letter_pair_eval(db, u, v, star_first):
+    """The letter-pair evaluation that _eval_words replaced: every
+    occurrence pair contributes prefix/suffix actions around the generator
+    pair value, the second argument through the bracket's bimodule and the
+    first through its swap, applied in the order ``star_first`` names."""
+    alg = db.alg
+    dot, star = db.bimodule, swap_bimodule(db.bimodule)
+    total = alg.zero2()
+    for k in range(len(u)):
+        for l in range(len(v)):
+            d = db.gen_table[(u[k], v[l])]
+            if star_first:
+                t = act(star, alg.monomial(u[:k]), d, alg.monomial(u[k + 1:]))
+                t = act(dot, alg.monomial(v[:l]), t, alg.monomial(v[l + 1:]))
+            else:
+                t = act(dot, alg.monomial(v[:l]), d, alg.monomial(v[l + 1:]))
+                t = act(star, alg.monomial(u[:k]), t, alg.monomial(u[k + 1:]))
+            total = total + t
+    return total
+
+
+def _evaluator_corpus(A):
+    """The bracket corpus, its transport by a diagonal twist (all four kinds,
+    twisted and untwisted) and a table that fails antisymmetry."""
+    x, y = xy(A)
+    flip = AlgEndo(A, {"x": y, "y": x})
+    untwisted = bracket_corpus(A)
+    twisted = [apply_equivalence(db, TwistPairAuto(flip, flip))
+               for db in untwisted]
+    unchecked = DoubleBracket.from_full_table_unchecked(
+        Bimodule("right", alg=A),
+        {("x", "y"): A.t2(x, y * y), ("y", "x"): A.t2(x, A.one()) + A.unit2(),
+         ("y", "y"): A.t2(y, x).scale(Fraction(2, 3))})
+    assert not check_antisymmetry(unchecked, 1).holds
+    return untwisted + twisted + [unchecked]
+
+
+def test_evaluator_corpus_covers_every_kind_twisted_and_untwisted():
+    corpus = _evaluator_corpus(two_gen())
+    assert {(db.kind(), db.bimodule.is_untwisted()) for db in corpus} == \
+        {(kind, flag) for kind in BimodKind for flag in (True, False)}
+
+
+@pytest.mark.parametrize("star_first", [False, True])
+def test_eval_words_equals_letter_pair_reference(star_first):
+    A = two_gen()
+    words = list(A.words_up_to(3))
+    assert () in words
+    for db in _evaluator_corpus(A):
+        for u in words:
+            for v in words:
+                assert _eval_words(db, u, v, star_first) == \
+                    _letter_pair_eval(db, u, v, star_first)
+
+
+def test_eval_words_recursion_depth_does_not_grow_with_the_words(monkeypatch):
+    import dbrackets.dbracket as dbm
+    inner = dbm._eval_words
+    depth = {"now": 0, "max": 0}
+
+    def counting(*args):
+        depth["now"] += 1
+        depth["max"] = max(depth["max"], depth["now"])
+        try:
+            return inner(*args)
+        finally:
+            depth["now"] -= 1
+
+    monkeypatch.setattr(dbm, "_eval_words", counting)
+    A = two_gen()
+    x, y = xy(A)
+    db = right_const(A)
+    for star_first in (False, True):
+        assert eval_bracket(db, x ** 1500, y * x, star_first) == \
+            A.t2(x ** 1499, x).scale(1500)
+        assert eval_bracket(db, y * x, x ** 1500, star_first) == \
+            -A.t2(x, x ** 1499).scale(1500)
+    # eval_bracket -> a word pair -> its one-letter pieces -> table entries
+    assert depth["max"] == 3
+
+
+def _pair_by_eval_bracket(db, d, bracket_word, factor, slot):
+    """The pairing loop with one eval_bracket call per tensor term."""
+    data = {}
+    for w, c in d.terms.items():
+        kept = w[1 - factor]
+        value = bracket_word(db.alg.monomial(w[factor]))
+        for (u1, u2), ci in value.terms.items():
+            key = ((kept, u1, u2) if slot == 0 else
+                   (u1, kept, u2) if slot == 1 else (u1, u2, kept))
+            data[key] = data.get(key, 0) + c * ci
+    return Tensor3(db.alg, {key: c for key, c in data.items() if c})
+
+
+def test_pairing_maps_equal_eval_bracket_per_term():
+    A = two_gen()
+    x, y = xy(A)
+    one = A.one()
+    p = x.scale(3) - (y * x).scale(Fraction(1, 2)) + one.scale(2) + y * y * x
+    d = (A.t2(x, y * y).scale(-2) + A.t2(one, x).scale(Fraction(5, 3))
+         + A.t2(x * y, x) + A.t2(y, one).scale(7))
+    nonzero = 0
+    for db in _evaluator_corpus(A):
+        def with_p_first(q):
+            return eval_bracket(db, p, q)
+
+        def with_p_second(q):
+            return eval_bracket(db, q, p)
+
+        for got, want in (
+                (bracket_left(db, p, d),
+                 _pair_by_eval_bracket(db, d, with_p_first, 0, 2)),
+                (bracket_right(db, p, d),
+                 _pair_by_eval_bracket(db, d, with_p_first, 1, 0)),
+                (bracket_pair_left(db, d, p),
+                 _pair_by_eval_bracket(db, d, with_p_second, 0, 1)),
+                (bracket_pair_right(db, d, p),
+                 _pair_by_eval_bracket(db, d, with_p_second, 1, 0))):
+            assert got == want
+            nonzero += not got.is_zero()
+    assert nonzero >= 40
 
 
 # -- Jacobiators --------------------------------------------------------------
@@ -151,6 +279,19 @@ def test_weak_jacobiator_rejects_bad_permutation():
 
 
 # -- verdicts -----------------------------------------------------------------
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_sweeps_reject_vacuous_bounds(bound):
+    A = two_gen()
+    zero = DoubleBracket.zero(Bimodule("outer", alg=A))
+    # exact, bounded and zero brackets alike: nothing is checked first
+    for db in (outer_poisson(A), right_const(A), zero):
+        for check in (lambda: is_poisson(db, bound),
+                      lambda: is_weak_poisson(db, "12", "12", bound),
+                      lambda: check_antisymmetry(db, bound)):
+            with pytest.raises(ValueError, match="degree_bound must be >= 1"):
+                check()
+
 
 def test_is_poisson_outer_fixture():
     A = two_gen()

@@ -1,0 +1,56 @@
+"""Byte-for-byte CLI output: stdout and exit code of fixed commands.
+
+Each case runs ``dbrackets`` in process and compares its stdout with
+``tests/golden/<case>.txt`` exactly.  After an intended change of output,
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from dbrackets.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+SESSIONS = ROOT / "demos" / "sessions"
+
+# case -> (argv, exit code)
+CASES = {
+    "gradient-sum-power-3": (
+        ["gradient", "classify", "--family", "sum-power", "--degree", "3"], 0),
+    "ybe-entry-jacobi-standard-2": (
+        ["ybe", "entry-jacobi", "--standard", "2"], 1),
+}
+for _name, _code in (("constant_right_weak", 1), ("linear_poisson", 0),
+                     ("twisted_not_poisson", 1)):
+    _path = str(SESSIONS / f"{_name}.session")
+    CASES[f"session-{_name}"] = (["run", _path], _code)
+    CASES[f"session-{_name}-kv"] = (["--format", "kv", "run", _path], _code)
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return out.getvalue(), code
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_is_unchanged(case):
+    argv, code = CASES[case]
+    expected = (GOLDEN / f"{case}.txt").read_bytes().decode("utf-8")
+    assert _run(argv) == (expected, code)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case, (argv, code) in sorted(CASES.items()):
+        out, got = _run(argv)
+        if got != code:
+            raise SystemExit(f"{case}: exit code {got}, expected {code}")
+        (GOLDEN / f"{case}.txt").write_bytes(out.encode("utf-8"))
+        print(f"wrote {case}.txt")

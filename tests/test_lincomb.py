@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from dbrackets import CPoly, FreeAlgebra, MatTensor2, MatTensor3, casimir, standard_r
+from dbrackets import (CPoly, FreeAlgebra, MatTensor2, MatTensor3, Tensor3,
+                       casimir, standard_r)
 
 A = FreeAlgebra(["x", "y"])
 B = FreeAlgebra(["x"])
@@ -120,7 +121,7 @@ def test_tensor_printing():
     assert str(A.t2(X, Y) - A.unit2().scale(2)) == "-2*1 (x) 1 + x (x) y"
     assert str(A.t3(X, ONE, Y).scale("-1/2") + A.t3(Y, Y, Y)) == \
         "-1/2*x (x) 1 (x) y + y (x) y (x) y"
-    assert str(A.zero3()) == "0"
+    assert str(Tensor3(A, {})) == "0"
     assert repr(A.t2(Y, X)) == "<Tensor2 y (x) x>"
 
 

@@ -123,6 +123,12 @@ def test_jacobi_defect_zero_structure():
     assert jacobi_defect(ps, f, g, h).is_zero()
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_induce_rejects_empty_matrices(n):
+    with pytest.raises(ValueError, match="matrix size must be >= 1"):
+        induce(right_const(two_gen()), n)
+
+
 def test_long_words_need_no_recursion():
     A = two_gen()
     x, y = xy(A)
