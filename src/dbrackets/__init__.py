@@ -31,9 +31,8 @@ from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Necklace, Tensor2, Tensor3,
 from .gradient import (ClassifyReport, classify, double_derivation,
                        family_polynomial, gradient_bracket,
                        gradient_bracket_unchecked, gradient_gen_table,
-                       is_fully_noncommutative,
-                       is_fully_noncommutative_via_derivations,
-                       leading_part_poisson, symmetrize)
+                       is_fully_noncommutative, leading_part_poisson,
+                       symmetrize)
 from .parsing import (ParseError, SessionSpec, format_session, parse_poly,
                       parse_session, parse_tensor2)
 from .repspace import (EntryVar, MatPoly, PoissonStructure, RepJacobiReport,

@@ -11,11 +11,13 @@ data from generators by Leibniz rules in either order.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .freealg import AlgEndo, FreeAlgebra, NCPoly, Tensor2, _tadd
+from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Tensor2, _first_failure,
+                      _tadd)
 
 
 class BimodKind(enum.Enum):
@@ -161,45 +163,32 @@ def check_swap_commuting(action, degree_bound: int = 3, *,
     def star(a, d, b):
         return fwd(a, d.swap(), b).swap()
 
-    def violated(a1, a2, b1, b2, d):
+    def violated(case):
+        d, a1, a2, b1, b2 = case
         lhs = fwd(a1, star(a2, d, b2), b1)
         rhs = star(a2, fwd(a1, d, b1), b2)
-        if lhs != rhs:
-            return (a1, a2, b1, b2, d, lhs, rhs)
-        return None
+        return None if lhs == rhs else (a1, a2, b1, b2, d, lhs, rhs)
 
     ring_args = [alg.one()] + alg.gens()
-    tensors = []
-    for total in range(degree_bound + 1):
-        for k in range(total + 1):
-            for w1 in alg.words(k):
-                for w2 in alg.words(total - k):
-                    tensors.append(alg.t2(alg.monomial(w1), alg.monomial(w2)))
-
-    cases = 0
-    for d in tensors:
-        for a1 in ring_args:
-            for a2 in ring_args:
-                for b1 in ring_args:
-                    for b2 in ring_args:
-                        cases += 1
-                        w = violated(a1, a2, b1, b2, d)
-                        if w is not None:
-                            return SwapCommutingReport(False, w, cases, 0,
-                                                       degree_bound, seed)
-
+    tensors = [alg.t2(alg.monomial(w1), alg.monomial(w2))
+               for total in range(degree_bound + 1)
+               for k in range(total + 1)
+               for w1 in alg.words(k) for w2 in alg.words(total - k)]
     rng = random.Random(seed)
 
     def random_word(lo, hi):
         return alg.monomial(tuple(rng.randrange(alg.ngens)
                                   for _ in range(rng.randint(lo, hi))))
 
-    done = 0
-    for _ in range(trials):
-        d = alg.t2(random_word(0, degree_bound + 2), random_word(0, degree_bound + 2))
-        a1, a2, b1, b2 = (random_word(1, 2) for _ in range(4))
-        done += 1
-        w = violated(a1, a2, b1, b2, d)
-        if w is not None:
-            return SwapCommutingReport(False, w, cases, done, degree_bound, seed)
-    return SwapCommutingReport(True, None, cases, done, degree_bound, seed)
+    def random_cases():
+        for _ in range(trials):
+            d = alg.t2(random_word(0, degree_bound + 2),
+                       random_word(0, degree_bound + 2))
+            yield (d, *(random_word(1, 2) for _ in range(4)))
+
+    # one stream: the exhaustive cases, then the random ones
+    tried, _, witness = _first_failure(itertools.chain(
+        itertools.product(tensors, *[ring_args] * 4), random_cases()), violated)
+    cases = min(tried, len(tensors) * len(ring_args) ** 4)
+    return SwapCommutingReport(witness is None, witness, cases, tried - cases,
+                               degree_bound, seed)

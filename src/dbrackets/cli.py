@@ -25,7 +25,7 @@ from .gradient import FAMILIES, classify
 from .parsing import ParseError, SessionSpec, parse_poly, parse_session
 from .repspace import (entry_name, induce, jacobi_sweep, matrix_tensor_bracket,
                        trace_bracket)
-from .ybe import (MatTensor2, check_entry_jacobi, cybe_defect, entry_bracket,
+from .ybe import (check_entry_jacobi, cybe_defect, entry_bracket,
                   format_mat_tensor2, parse_mat_tensor2, standard_r)
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
@@ -57,8 +57,9 @@ class Reporter:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
-def _opts(args, spec):
-    """Split trailing --key value options from positional arguments."""
+def _opts(args, spec, count, usage):
+    """Split trailing --key value options from positional arguments, and
+    raise ``usage`` unless there are ``count`` of the latter."""
     pos, opts = [], {}
     i = 0
     while i < len(args):
@@ -73,6 +74,8 @@ def _opts(args, spec):
         else:
             pos.append(a)
             i += 1
+    if len(pos) != count:
+        raise CommandError(usage)
     return pos, opts
 
 
@@ -98,18 +101,15 @@ def _cmd_check(session, args, rep):
         raise CommandError("check needs a subject: antisym | swap-commuting "
                            "| poisson | weak-poisson")
     what, rest = args[0], args[1:]
+    no_positional = f"check {what} takes no positional arguments"
     if what == "antisym":
-        pos, opts = _opts(rest, {"--degree": int})
-        if pos:
-            raise CommandError("check antisym takes no positional arguments")
+        _, opts = _opts(rest, {"--degree": int}, 0, no_positional)
         r = check_antisymmetry(_need_bracket(session), opts.get("--degree", 3))
         rep.say(str(r), check="antisym", holds=str(r.holds).lower(),
                 pairs=r.pairs, degree=r.degree_bound)
         rep.outcome(r.holds)
     elif what == "swap-commuting":
-        pos, opts = _opts(rest, {"--degree": int})
-        if pos:
-            raise CommandError("check swap-commuting takes no positional arguments")
+        _, opts = _opts(rest, {"--degree": int}, 0, no_positional)
         if session.bimodule is None:
             raise CommandError("this command needs a bimodule declaration")
         r = check_swap_commuting(session.bimodule, opts.get("--degree", 3))
@@ -117,17 +117,13 @@ def _cmd_check(session, args, rep):
                 cases=r.cases, trials=r.trials, degree=r.degree_bound)
         rep.outcome(r.holds)
     elif what == "poisson":
-        pos, opts = _opts(rest, {"--degree": int})
-        if pos:
-            raise CommandError("check poisson takes no positional arguments")
+        _, opts = _opts(rest, {"--degree": int}, 0, no_positional)
         v = is_poisson(_need_bracket(session), opts.get("--degree", 4))
         rep.say(str(v), check="poisson", verdict=str(v))
         rep.outcome(v.holds())
     elif what == "weak-poisson":
-        pos, opts = _opts(rest, {"--degree": int, "--sigma": str,
-                                 "--sigma-prime": str})
-        if pos:
-            raise CommandError("check weak-poisson takes no positional arguments")
+        _, opts = _opts(rest, {"--degree": int, "--sigma": str,
+                               "--sigma-prime": str}, 0, no_positional)
         if "--sigma" not in opts:
             raise CommandError("check weak-poisson needs --sigma")
         sigma = opts["--sigma"]
@@ -147,54 +143,42 @@ def _cmd_jacobiator(session, args, rep):
     rep.say(f"jacobiator({a}, {b}, {c}) = {value}", jacobiator=str(value))
 
 
-def _rep_structure(session, n):
-    return induce(_need_bracket(session), n)
-
-
 def _cmd_rep(session, args, rep):
     if not args:
         raise CommandError("rep needs a subject: induce | jacobi | "
                            "trace-bracket | tensor")
     what, rest = args[0], args[1:]
     if what == "induce":
-        pos, _ = _opts(rest, {})
-        if len(pos) != 1:
-            raise CommandError("rep induce needs the matrix size")
+        pos, _ = _opts(rest, {}, 1, "rep induce needs the matrix size")
         n = int(pos[0])
-        ps = _rep_structure(session, n)
+        ps = induce(_need_bracket(session), n)
         rep.say(f"induced structure, kind {ps.kind}, n={n}", kind=str(ps.kind), n=n)
         for (v, w), p in sorted(ps.table.items()):
             body = p.to_str(lambda u: entry_name(ps.alg, u))
             rep.say(f"{{{entry_name(ps.alg, v)}, {entry_name(ps.alg, w)}}} = {body}",
                     **{f"br.{entry_name(ps.alg, v)}.{entry_name(ps.alg, w)}": body})
     elif what == "jacobi":
-        pos, _ = _opts(rest, {})
-        if len(pos) != 1:
-            raise CommandError("rep jacobi needs the matrix size")
-        ps = _rep_structure(session, int(pos[0]))
-        r = jacobi_sweep(ps)
+        pos, _ = _opts(rest, {}, 1, "rep jacobi needs the matrix size")
+        r = jacobi_sweep(induce(_need_bracket(session), int(pos[0])))
         rep.say(str(r))
         if rep.fmt == "kv":
             rep.lines.extend(r.kv_lines())
         rep.outcome(r.holds)
     elif what == "trace-bracket":
-        pos, _ = _opts(rest, {})
-        if len(pos) != 3:
-            raise CommandError("rep trace-bracket needs: N a b")
+        pos, _ = _opts(rest, {}, 3, "rep trace-bracket needs: N a b")
         n = int(pos[0])
         a, b = _parse_args_polys(session, pos[1:], 2)
-        ps = _rep_structure(session, n)
+        ps = induce(_need_bracket(session), n)
         value = trace_bracket(ps, a, b)
         body = value.to_str(lambda u: entry_name(ps.alg, u))
         rep.say(f"{{tr X({a}), tr X({b})}} = {body}", trace_bracket=body)
     elif what == "tensor":
-        pos, opts = _opts(rest, {"--convention": str})
-        if len(pos) != 3:
-            raise CommandError("rep tensor needs: N a b")
+        pos, opts = _opts(rest, {"--convention": str}, 3,
+                          "rep tensor needs: N a b")
         convention = opts.get("--convention", "tensor")
         n = int(pos[0])
         a, b = _parse_args_polys(session, pos[1:], 2)
-        ps = _rep_structure(session, n)
+        ps = induce(_need_bracket(session), n)
         grid = matrix_tensor_bracket(ps, convention, a, b)
         rep.say(f"matrix tensor bracket, convention {convention}, n={n}",
                 convention=convention, n=n)
@@ -206,10 +190,12 @@ def _cmd_rep(session, args, rep):
         raise CommandError(f"unknown rep command {what!r}")
 
 
-def _load_tensor(path_or_text_source) -> MatTensor2:
-    path = path_or_text_source
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_mat_tensor2(text)
+def _read(path) -> str:
+    """The text of a file, or of stdin for '-'."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as f:
+        return f.read()
 
 
 def _cmd_ybe(args, rep):
@@ -217,31 +203,24 @@ def _cmd_ybe(args, rep):
         raise CommandError("ybe needs a subject: check | standard | entry-jacobi")
     what, rest = args[0], args[1:]
     if what == "standard":
-        pos, _ = _opts(rest, {})
-        if len(pos) != 1:
-            raise CommandError("ybe standard needs N")
+        pos, _ = _opts(rest, {}, 1, "ybe standard needs N")
         text = format_mat_tensor2(standard_r(int(pos[0])))
         for line in text.splitlines():
             rep.say(line, term=line)
     elif what == "check":
-        pos, _ = _opts(rest, {})
-        if len(pos) != 1:
-            raise CommandError("ybe check needs a tensor file")
-        r = _load_tensor(pos[0])
+        pos, _ = _opts(rest, {}, 1, "ybe check needs a tensor file")
+        r = parse_mat_tensor2(_read(pos[0]))
         defect = cybe_defect(r)
         ok = defect.is_zero()
         rep.say(f"cybe defect: {defect}", cybe_defect=str(defect))
         rep.outcome(ok)
     elif what == "entry-jacobi":
-        pos, opts = _opts(rest, {"--standard": int})
-        if "--standard" in opts:
-            if pos:
-                raise CommandError("give either a file or --standard N")
-            r = standard_r(opts["--standard"])
-        elif len(pos) == 1:
-            r = _load_tensor(pos[0])
-        else:
-            raise CommandError("ybe entry-jacobi needs a tensor file or --standard N")
+        standard = "--standard" in rest
+        pos, opts = _opts(rest, {"--standard": int}, 0 if standard else 1,
+                          "give either a file or --standard N" if standard else
+                          "ybe entry-jacobi needs a tensor file or --standard N")
+        r = (standard_r(opts["--standard"]) if standard
+             else parse_mat_tensor2(_read(pos[0])))
         report = check_entry_jacobi(entry_bracket(r))
         kv = {"tuples": report.tuples, "n": report.n,
               "holds": str(report.holds).lower()}
@@ -257,8 +236,10 @@ def _cmd_ybe(args, rep):
 def _cmd_gradient(args, rep):
     if not args or args[0] != "classify":
         raise CommandError("gradient supports: classify")
+    # --poly is kept as given, so that a session argument keeps its position
     _, opts = _opts(args[1:], {"--family": str, "--gen": str, "--degree": int,
-                               "--coeffs": str, "--poly": str})
+                               "--coeffs": str, "--poly": lambda a: a}, 0,
+                    "gradient classify takes no positional arguments")
     alg = FreeAlgebra(["x1", "x2", "x3"])
     kwargs = {}
     if "--poly" in opts:
@@ -301,19 +282,27 @@ _SESSION_COMMANDS = {
 
 
 def run(session: SessionSpec, fmt: str = "plain") -> tuple:
-    """Execute the commands of a parsed session; return (report text, code)."""
+    """Execute the commands of a parsed session; return (report text, code).
+    A failing command's output is replaced by its ``error:`` line."""
     rep = Reporter(fmt)
-    for cmd in session.commands:
-        name, args = cmd[0], list(cmd[1:])
-        rep.say(f"$ {' '.join(cmd)}", command=" ".join(cmd))
-        if name in _SESSION_COMMANDS:
-            _SESSION_COMMANDS[name](session, args, rep)
-        elif name == "ybe":
-            _cmd_ybe(args, rep)
-        elif name == "gradient":
-            _cmd_gradient(args, rep)
-        else:
-            raise CommandError(f"unknown command {name!r}")
+    done = 0
+    try:
+        for cmd in session.commands:
+            name, args = cmd[0], list(cmd[1:])
+            rep.say(f"$ {' '.join(cmd)}", command=" ".join(cmd))
+            if name in _SESSION_COMMANDS:
+                _SESSION_COMMANDS[name](session, args, rep)
+            elif name == "ybe":
+                _cmd_ybe(args, rep)
+            elif name == "gradient":
+                _cmd_gradient(args, rep)
+            else:
+                raise CommandError(f"unknown command {name!r}")
+            done = len(rep.lines)
+    except Exception as exc:  # the CLI boundary: never exit 1 on a crash
+        message, code = _failure(exc)
+        rep.lines[done:] = [message]
+        return rep.text(), code
     return rep.text(), (FAIL if rep.failed else OK)
 
 
@@ -321,10 +310,10 @@ def run_text(text: str, fmt: str = "plain") -> tuple:
     """Parse and run a session given as text; return (report text, exit code)."""
     try:
         session = parse_session(text)
-        return run(session, fmt)
     except Exception as exc:  # the CLI boundary: never exit 1 on a crash
         message, code = _failure(exc)
         return message + "\n", code
+    return run(session, fmt)
 
 
 def _failure(exc: Exception) -> tuple:
@@ -352,14 +341,11 @@ def main(argv=None) -> int:
 
     ns = parser.parse_args(argv)
     if ns.command == "run":
-        if ns.session == "-":
-            text = sys.stdin.read()
-        else:
-            try:
-                text = open(ns.session).read()
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return USAGE
+        try:
+            text = _read(ns.session)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE
         out, code = run_text(text, ns.format)
         sys.stdout.write(out)
         return code

@@ -21,8 +21,8 @@ from typing import Iterable, Optional
 from .bimodule import Bimodule, BimodKind, act, swap_bimodule
 from .commpoly import CPoly, poisson_biderivation
 from .freealg import (AlgEndo, NCPoly, Necklace, Tensor2, Tensor3, P12, P123,
-                      P132, _deglex, _tadd, apply_endo_tensor2,
-                      necklace_project, perm_invert, tensor3_perm,
+                      P132, _deglex, _first_failure, _nonzero, _tadd,
+                      apply_endo_tensor2, necklace_project, perm_invert, tensor3_perm,
                       transposition)
 
 JAC_FORMS = ("left", "mixed", "right", "pair-right")
@@ -414,12 +414,11 @@ def _sweep(db, defect_of, sound: bool, degree_bound: int, holds: JacVerdict,
         triples = (((i,), (j,), (k,)) for i, j, k in _gen_triples(alg))
     else:
         triples = _word_triples(alg, degree_bound)
-    for u, v, w in triples:
-        defect = defect_of(u, v, w)
-        if not defect.is_zero():
-            return JacVerdict("NotPoisson", sigma, sigma_prime,
-                              (_mono(alg, u), _mono(alg, v), _mono(alg, w)),
-                              defect)
+    _, witness, defect = _first_failure(
+        triples, lambda triple: _nonzero(defect_of(*triple)))
+    if witness is not None:
+        return JacVerdict("NotPoisson", sigma, sigma_prime,
+                          tuple(_mono(alg, w) for w in witness), defect)
     if sound:
         return holds
     return JacVerdict("VerifiedUpToDegree", sigma, sigma_prime,
@@ -487,16 +486,16 @@ def check_antisymmetry(db: DoubleBracket, degree_bound: int = 3) -> AntisymRepor
         raise ValueError("degree_bound must be >= 1")
     alg = db.alg
     words = sorted(alg.words_up_to(degree_bound), key=_deglex)
-    pairs = 0
-    for u in words:
-        for v in words:
-            pairs += 1
-            lhs = _eval_words(db, u, v)
-            rhs = -_eval_words(db, v, u).swap()
-            if lhs != rhs:
-                return AntisymReport(False, (_mono(alg, u), _mono(alg, v),
-                                             lhs, rhs), pairs, degree_bound)
-    return AntisymReport(True, None, pairs, degree_bound)
+
+    def failure(pair):
+        u, v = pair
+        lhs = _eval_words(db, u, v)
+        rhs = -_eval_words(db, v, u).swap()
+        return None if lhs == rhs else (_mono(alg, u), _mono(alg, v), lhs, rhs)
+
+    pairs, _, witness = _first_failure(itertools.product(words, repeat=2),
+                                       failure)
+    return AntisymReport(witness is None, witness, pairs, degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -611,13 +610,9 @@ def check_morphism(phi: AlgEndo, db1: DoubleBracket, db2: DoubleBracket) -> bool
     if phi.domain.names != db1.alg.names or phi.codomain.names != db2.alg.names:
         raise ValueError("phi must map the first algebra to the second")
     alg1 = db1.alg
-    for i in range(alg1.ngens):
-        for j in range(alg1.ngens):
-            lhs = eval_bracket(db2, phi(alg1.gen(i)), phi(alg1.gen(j)))
-            rhs = apply_endo_tensor2(phi, db1.gen_table[(i, j)])
-            if lhs != rhs:
-                return False
-    return True
+    return all(eval_bracket(db2, phi(alg1.gen(i)), phi(alg1.gen(j)))
+               == apply_endo_tensor2(phi, db1.gen_table[(i, j)])
+               for i, j in itertools.product(range(alg1.ngens), repeat=2))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,24 @@ def _tadd(data: dict, key, coeff) -> None:
         del data[key]
 
 
+def _first_failure(cases, failure) -> tuple:
+    """Every bounded check's driver: (cases tried, first case whose failure
+    is not None, that failure) or (cases tried, None, None).  The count
+    includes the failing case; nothing after it is drawn."""
+    tried = 0
+    for case in cases:
+        tried += 1
+        found = failure(case)
+        if found is not None:
+            return tried, case, found
+    return tried, None, None
+
+
+def _nonzero(value):
+    """The failure of a case whose defect ``value`` must vanish."""
+    return None if value.is_zero() else value
+
+
 class LinComb:
     """A finite map ``terms`` from basis keys to nonzero ``Fraction`` values.
 

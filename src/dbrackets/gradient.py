@@ -76,12 +76,6 @@ def is_fully_noncommutative(f: NCPoly) -> bool:
     return True
 
 
-def is_fully_noncommutative_via_derivations(f: NCPoly) -> bool:
-    """Cross-check: the double derivations of f are all swap-invariant."""
-    return all(double_derivation(j, f) == double_derivation(j, f).swap()
-               for j in range(f.alg.ngens))
-
-
 def gradient_gen_table(f: NCPoly) -> dict:
     """The raw generator-pair table of epsilon-combined double derivations."""
     alg = f.alg

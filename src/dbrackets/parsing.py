@@ -52,8 +52,9 @@ class Token:
 
 def tokenize_lazily(text: str):
     """Yield tokens on demand, so trailing free-form command lines are
-    never lexed once the declaration blocks have been consumed."""
-    i, line, col = 0, 1, 1
+    never lexed once the declaration blocks have been consumed.  Positions
+    count from the text's ``at`` (line, column), if it has one (_Arg)."""
+    i, (line, col) = 0, getattr(text, "at", (1, 1))
     n = len(text)
     while i < n:
         ch = text[i]
@@ -269,6 +270,27 @@ def _same_bracket(a, b):
     return a.bimodule == b.bimodule and a.gen_table == b.gen_table
 
 
+class _Arg(str):
+    """A command argument; ``at`` is the session (line, column) where its
+    text starts, after the quote if quoted, and where it is lexed from."""
+
+
+def _split_command(text: str, line: int, col: int) -> tuple:
+    """shlex-split a command whose text starts at (line, col) into _Args."""
+    lex = shlex.shlex(text, posix=True)
+    lex.whitespace_split, lex.commenters = True, ""
+    args = []
+    while True:
+        start = lex.instream.tell()  # just past the previous argument
+        while start < len(text) and text[start] in lex.whitespace:
+            start += 1
+        token = lex.get_token()
+        if token is None:
+            return tuple(args)
+        args.append(_Arg(token))
+        args[-1].at = (line, col + start + (text[start] in lex.quotes))
+
+
 def _parse_endo_map(cur: _Cursor, alg: FreeAlgebra) -> dict:
     images = {}
     while True:
@@ -387,12 +409,14 @@ def parse_session(text: str) -> SessionSpec:
 
     rest = cur.peek()
     commands = []
-    for raw in text[rest.pos:].splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for k, raw in enumerate(text[rest.pos:].splitlines()):
+        line = raw.split("#", 1)[0]
+        body = line.strip()
+        if not body:
             continue
         try:
-            commands.append(tuple(shlex.split(line)))
+            commands.append(_split_command(
+                body, rest.line + k, (1 if k else rest.col) + line.index(body)))
         except ValueError as exc:
             raise ParseError(f"bad command line {raw!r}: {exc}") from None
     return SessionSpec(alg, bimodule, bracket, commands)

@@ -11,6 +11,7 @@ two matrix-tensor notations.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,8 @@ from typing import Callable, Optional
 from .bimodule import BimodKind
 from .commpoly import CPoly, poisson_biderivation
 from .dbracket import DoubleBracket
-from .freealg import AlgEndo, FreeAlgebra, NCPoly, Necklace, _word_image
+from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Necklace, _first_failure,
+                      _nonzero, _word_image)
 
 # entry variables are (generator index, row, col) with 1-based row/col
 EntryVar = tuple
@@ -254,21 +256,14 @@ def jacobi_sweep(ps: PoissonStructure) -> RepJacobiReport:
     if not ps.is_untwisted():
         raise ValueError("the Jacobi sweep covers untwisted structures only; "
                          "twisted Leibniz rules leave it inconclusive")
-    vs = ps.variables()
-    count = 0
-    for v1 in vs:
-        f1 = CPoly.var(v1)
-        for v2 in vs:
-            f2 = CPoly.var(v2)
-            for v3 in vs:
-                count += 1
-                d = jacobi_defect(ps, f1, f2, CPoly.var(v3))
-                if not d.is_zero():
-                    return RepJacobiReport(False, (ps.format_entry(v1),
-                                                   ps.format_entry(v2),
-                                                   ps.format_entry(v3)),
-                                           d, count, ps.n, ps.format_entry)
-    return RepJacobiReport(True, None, None, count, ps.n, ps.format_entry)
+    fs = {v: CPoly.var(v) for v in ps.variables()}
+    count, witness, defect = _first_failure(
+        itertools.product(fs, repeat=3),
+        lambda vs: _nonzero(jacobi_defect(ps, *(fs[v] for v in vs))))
+    if witness is not None:
+        witness = tuple(ps.format_entry(v) for v in witness)
+    return RepJacobiReport(witness is None, witness, defect, count, ps.n,
+                           ps.format_entry)
 
 
 def trace_bracket(ps: PoissonStructure, a: NCPoly, b: NCPoly) -> CPoly:
@@ -318,13 +313,9 @@ def check_rep_morphism(phi: AlgEndo, db1: DoubleBracket, db2: DoubleBracket,
         raise ValueError("rep morphism check needs a shared outer or right kind")
     ps1, ps2 = induce(db1, n), induce(db2, n)
     phi_n = _entry_images(phi, n)
-    for v in ps1.variables():
-        for w in ps1.variables():
-            lhs = poisson_eval(ps2, phi_n[v], phi_n[w])
-            rhs = ps1.pair_bracket(v, w).substitute(phi_n.__getitem__)
-            if lhs != rhs:
-                return False
-    return True
+    return all(poisson_eval(ps2, phi_n[v], phi_n[w])
+               == ps1.pair_bracket(v, w).substitute(phi_n.__getitem__)
+               for v, w in itertools.product(ps1.variables(), repeat=2))
 
 
 def abelianized_bracket(db: DoubleBracket) -> PoissonStructure:

@@ -107,6 +107,7 @@ def test_reversal_twisted_action_not_swap_commuting():
     one = A.one()
     r = check_swap_commuting(_reversal_action(A), 2, alg=A)
     assert not r.holds
+    assert (r.cases, r.trials) == (16, 0)  # the count includes the witness
     a1, a2, b1, b2, d, lhs, rhs = r.witness
     assert (a1, a2, b1, b2) == (one, x, y, one)
     assert d == A.unit2()
@@ -127,6 +128,24 @@ def test_swap_commuting_iff_swap_bimodule_is():
 
     assert not check_swap_commuting(_reversal_action(A), 2, alg=A).holds
     assert not check_swap_commuting(swapped_reversal, 2, alg=A).holds
+
+
+def test_random_phase_witness_and_counts():
+    """An action that is the outer one on ring arguments of length <= 1 and
+    the right one on longer left arguments: the exhaustive phase cannot see
+    it, the seeded random phase fails on its third trial."""
+    A = two_gen()
+    x, y = xy(A)
+    outer, right = Bimodule("outer", alg=A), Bimodule("right", alg=A)
+
+    def action(a, d, b):
+        return (outer if a.degree() <= 1 else right).act(a, d, b)
+
+    r = check_swap_commuting(action, 2, alg=A)
+    assert (r.holds, r.cases, r.trials) == (False, 1377, 3)
+    a1, a2, b1, b2, d = r.witness[:5]
+    assert (a1, a2, b1, b2) == (x, y * y, y * y, x * x)
+    assert d == A.t2(x * y * x * x, x * y * x * x)
 
 
 def test_degree_bound_validation():

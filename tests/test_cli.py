@@ -189,6 +189,16 @@ def test_gradient_classify_rejects_degree_bound(capsys):
     assert capsys.readouterr().err == "error: unknown option --degree-bound\n"
 
 
+def test_gradient_classify_rejects_stray_arguments(capsys):
+    code = main(["gradient", "classify", "foo", "--family", "sum-power",
+                 "--degree", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: gradient classify takes no positional arguments\n"
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     session = tmp_path / "s.txt"
     session.write_text(VDB_SESSION)
@@ -307,3 +317,29 @@ def test_parenthesis_nesting_is_bounded(capsys):
     assert captured.err == (
         f"error: line 1, column {_MAX_NESTING + 1}: "
         f"parentheses nested more than {_MAX_NESTING} deep\n")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "kv"])
+def test_failing_command_keeps_earlier_output(fmt):
+    text = VDB_SESSION + "check antisym\njacobiator x y z\n"
+    done, code = run_text(VDB_SESSION + "check antisym\n", fmt)
+    assert code == 0
+    assert run_text(text, fmt) == (
+        done + "error: line 6, column 16: undeclared generator 'z'\n", 2)
+
+
+def test_argument_parse_errors_point_into_the_session():
+    session = VDB_SESSION + "check antisym\n"
+    for command, column in (("jacobiator x y (y", 18),
+                            ('jacobiator x y "(y"', 19),
+                            ("  rep trace-bracket 2 x '(y'", 28)):
+        out, code = run_text(session + command + "\n")
+        assert code == 2
+        assert out.splitlines()[-1] == \
+            f"error: line 6, column {column}: expected ')', found ''"
+    out, code = run_text(session + "jacobiator x y "
+                         + _nested(_MAX_NESTING + 1, "y") + "\n")
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        f"error: line 6, column {16 + _MAX_NESTING}: "
+        f"parentheses nested more than {_MAX_NESTING} deep")

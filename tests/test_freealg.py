@@ -9,7 +9,7 @@ from dbrackets import (AlgEndo, FreeAlgebra, Necklace, apply_endo,
                        necklace_project, perm_compose, poly_mul,
                        tensor2_alg_mul, tensor3_perm,
                        word_reversal)
-from dbrackets.freealg import P12, P123, P132, P13, P23, P_ID
+from dbrackets.freealg import P12, P123, P132, P13, P23, P_ID, _first_failure
 
 from helpers import two_gen, xy
 
@@ -193,3 +193,16 @@ def test_endomorphism_memoises_requested_words_only():
     assert set(e._memo) == {(), w}
     assert e.apply_word(w) is image
     assert image == (y * x).scale(2) ** 250
+
+
+def test_first_failure_stops_at_the_failing_case():
+    def cases():
+        yield from range(5)
+        raise AssertionError("drawn past the failing case")
+
+    def failure(case):
+        return None if case < 4 else f"failed at {case}"
+
+    assert _first_failure(cases(), failure) == (5, 4, "failed at 4")
+    assert _first_failure(range(5), lambda case: None) == (5, None, None)
+    assert _first_failure((), failure) == (0, None, None)

@@ -128,9 +128,10 @@ def test_entry_jacobi_for_jordanian():
 
 
 def test_entry_jacobi_fails_for_standard_r():
-    for n in (2, 3):
+    for n, tuples in ((2, 7), (3, 13)):
         r = check_entry_jacobi(entry_bracket(standard_r(n)))
         assert not r.holds
+        assert r.tuples == tuples  # the count includes the witness
 
 
 def test_cybe_implies_entry_jacobi_on_random_solutions():
