@@ -261,7 +261,11 @@ def _cmd_gradient(args, rep):
             kwargs["degree"] = opts.get("--degree", 1)
         elif family == "linear":
             raw = opts.get("--coeffs", "0,1,1,1")
-            kwargs["coeffs"] = [Fraction(x) for x in raw.split(",")]
+            try:
+                kwargs["coeffs"] = [Fraction(x) for x in raw.split(",")]
+            except ZeroDivisionError:
+                raise CommandError(
+                    f"zero denominator in --coeffs {raw}") from None
         else:
             raise CommandError("custom family needs --poly")
     report = classify(alg, family, **kwargs)

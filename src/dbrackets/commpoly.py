@@ -5,14 +5,14 @@ symbols on coordinate rings of representation spaces, or cyclic words when
 working in the symmetric algebra over them.  Monomials are stored as sorted
 tuples of (variable, exponent) pairs; coefficients are rationals and zero
 terms are never stored, so structural equality is mathematical equality.
+Coefficients are stored as in ``freealg``: ``int`` when integral.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional
 
-from .freealg import LinComb, _tadd
+from .freealg import LinComb, _q, _tadd
 
 
 def _mono_mul(m1, m2):
@@ -45,7 +45,7 @@ class CPoly(LinComb):
 
     @staticmethod
     def const(c) -> "CPoly":
-        c = Fraction(c)
+        c = _q(c)
         return CPoly({(): c} if c else {})
 
     @staticmethod
@@ -54,7 +54,7 @@ class CPoly(LinComb):
 
     @staticmethod
     def var(v, exp: int = 1) -> "CPoly":
-        return CPoly({((v, exp),): Fraction(1)}) if exp else CPoly.one()
+        return CPoly({((v, exp),): 1}) if exp else CPoly.one()
 
     def __mul__(self, other):
         if not isinstance(other, CPoly):
@@ -98,7 +98,7 @@ class CPoly(LinComb):
         """Ring homomorphism determined by variable images mapping(v) -> CPoly."""
         data = {}
         for m, c in self.terms.items():
-            term = CPoly.const(c)
+            term = CPoly({(): c})
             for v, e in m:
                 img = mapping(v)
                 for _ in range(e):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .bimodule import Bimodule, BimodKind, act, swap_bimodule
@@ -137,7 +136,7 @@ class DoubleBracket:
 # ---------------------------------------------------------------------------
 
 def _mono(alg, w) -> NCPoly:
-    return NCPoly(alg, {w: Fraction(1)})
+    return NCPoly(alg, {w: 1})
 
 
 def _eval_words(db: DoubleBracket, u, v, star_first: bool = False) -> Tensor2:

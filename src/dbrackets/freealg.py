@@ -2,7 +2,7 @@
 
 A ``FreeAlgebra`` fixes a finite list of named generators.  Elements are
 ``NCPoly`` values: finite maps from words (tuples of generator indices) to
-``Fraction`` coefficients.  The module also provides the tensor square and
+rational coefficients.  The module also provides the tensor square and
 cube of the algebra (``Tensor2``, ``Tensor3``), the symmetric-group actions
 on tensor factors, algebra endomorphisms given on generators, and the
 projection onto cyclic words (necklaces), which is the quotient of the
@@ -10,7 +10,11 @@ algebra by the span of commutators.  ``LinComb`` is the base class of these
 elements and of the package's other finite linear combinations
 (commutative polynomials, matrix tensors).
 
-No floating point is used anywhere: all arithmetic is exact.
+No floating point is used anywhere: all arithmetic is exact.  A
+coefficient is stored as an ``int`` when it is integral and as a
+``Fraction`` otherwise, never as a ``float``; ``_q`` normalises numbers
+where they enter (``scale`` and the element constructors), and integer
+arithmetic stays integral from there on.
 """
 
 from __future__ import annotations
@@ -74,6 +78,14 @@ def _tadd(data: dict, key, coeff) -> None:
         del data[key]
 
 
+def _q(c):
+    """The stored form of the rational c: an ``int`` when it is integral,
+    a ``Fraction`` otherwise.  ``2 == Fraction(2)`` and both hash alike, so
+    the two forms may meet in one dict."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _first_failure(cases, failure) -> tuple:
     """Every bounded check's driver: (cases tried, first case whose failure
     is not None, that failure) or (cases tried, None, None).  The count
@@ -93,7 +105,8 @@ def _nonzero(value):
 
 
 class LinComb:
-    """A finite map ``terms`` from basis keys to nonzero ``Fraction`` values.
+    """A finite map ``terms`` from basis keys to nonzero rationals, each an
+    ``int`` or a ``Fraction`` and never a ``float``.
 
     No zero is stored, so structural equality is mathematical equality.
     Subclasses may override ``_space`` (the ambient space; mixing spaces
@@ -144,7 +157,7 @@ class LinComb:
         return self._like({key: -c for key, c in self.terms.items()})
 
     def scale(self, scalar):
-        s = Fraction(scalar)
+        s = _q(scalar)
         if not s:
             return self._like({})
         return self._like({key: c * s for key, c in self.terms.items()})
@@ -219,10 +232,10 @@ class FreeAlgebra:
         return NCPoly(self, {})
 
     def one(self) -> "NCPoly":
-        return NCPoly(self, {(): Fraction(1)})
+        return NCPoly(self, {(): 1})
 
     def gen(self, which) -> "NCPoly":
-        return NCPoly(self, {(self.gen_index(which),): Fraction(1)})
+        return NCPoly(self, {(self.gen_index(which),): 1})
 
     def gens(self) -> list:
         return [self.gen(i) for i in range(self.ngens)]
@@ -240,12 +253,12 @@ class FreeAlgebra:
 
     def monomial(self, word: Iterable, coeff=1) -> "NCPoly":
         w = tuple(self.gen_index(g) for g in word)
-        return NCPoly(self, {w: Fraction(coeff)}) if coeff else self.zero()
+        return NCPoly(self, {w: _q(coeff)}) if coeff else self.zero()
 
     def poly(self, terms: Mapping) -> "NCPoly":
         data = {}
         for word, coeff in terms.items():
-            _tadd(data, tuple(self.gen_index(g) for g in word), Fraction(coeff))
+            _tadd(data, tuple(self.gen_index(g) for g in word), _q(coeff))
         return NCPoly(self, data)
 
     def t2(self, left: "NCPoly", right: "NCPoly") -> "Tensor2":
@@ -260,7 +273,7 @@ class FreeAlgebra:
         return Tensor2(self, {})
 
     def unit2(self) -> "Tensor2":
-        return Tensor2(self, {((), ()): Fraction(1)})
+        return Tensor2(self, {((), ()): 1})
 
     def necklace(self, word: Iterable) -> "Necklace":
         return Necklace(self, tuple(self.gen_index(g) for g in word))
@@ -361,9 +374,9 @@ class NCPoly(_OverAlgebra):
     def homogeneous_part(self, d: int) -> "NCPoly":
         return NCPoly(self.alg, {w: c for w, c in self.terms.items() if len(w) == d})
 
-    def coeff(self, word: Iterable) -> Fraction:
+    def coeff(self, word: Iterable):
         w = tuple(self.alg.gen_index(g) for g in word)
-        return self.terms.get(w, Fraction(0))
+        return self.terms.get(w, 0)
 
     def __str__(self):
         return self._format(self.alg.format_word)
@@ -384,7 +397,7 @@ def poly_mul(p: NCPoly, q: NCPoly) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 class Tensor2(_OverAlgebra):
-    """Sparse element of A (x) A: finite map (Word, Word) -> Fraction."""
+    """Sparse element of A (x) A: finite map (Word, Word) -> coefficient."""
 
     __slots__ = ()
     _key_order = staticmethod(_tensor_order)
@@ -579,7 +592,7 @@ class Necklace:
 
     def lift(self) -> NCPoly:
         """The canonical representative word as an algebra element."""
-        return NCPoly(self.alg, {self.word: Fraction(1)})
+        return NCPoly(self.alg, {self.word: 1})
 
     def __str__(self):
         return f"[{self.alg.format_word(self.word)}]"
@@ -591,7 +604,7 @@ class Necklace:
 def necklace_project(p: NCPoly) -> dict:
     """Project onto A/[A,A]: map each word to its necklace class.
 
-    Returns a map Necklace -> Fraction with zero classes removed; the
+    Returns a map Necklace -> coefficient with zero classes removed; the
     difference of a product taken in either order projects to zero.
     """
     out = {}

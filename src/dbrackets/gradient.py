@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .bimodule import Bimodule, BimodKind
@@ -123,7 +122,7 @@ def symmetrize(alg: FreeAlgebra, letters, max_len: int = 7) -> NCPoly:
                          f"symmetrization bound {max_len}")
     data = {}
     for perm in itertools.permutations(word):
-        _tadd(data, perm, Fraction(1))
+        _tadd(data, perm, 1)
     return NCPoly(alg, data)
 
 
@@ -158,7 +157,7 @@ def family_polynomial(alg: FreeAlgebra, family: str, *, gen=None,
         if coeffs is None or len(coeffs) != 4:
             raise ValueError("linear family needs four coefficients "
                              "(constant first)")
-        c0, c1, c2, c3 = (Fraction(c) for c in coeffs)
+        c0, c1, c2, c3 = coeffs
         return (alg.one().scale(c0) + alg.gen(0).scale(c1)
                 + alg.gen(1).scale(c2) + alg.gen(2).scale(c3))
     if family == "custom":

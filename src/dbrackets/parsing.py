@@ -40,6 +40,10 @@ class ParseError(ValueError):
 # the parse well inside the interpreter's recursion limit
 _MAX_NESTING = 100
 
+# the line breaks of str.splitlines, which splits the command lines; "\r\n"
+# is one break
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 @dataclass
 class Token:
@@ -58,17 +62,17 @@ def tokenize_lazily(text: str):
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            i += 1
+        if ch in _LINE_BREAKS:
+            i += 2 if text.startswith("\r\n", i) else 1
             line += 1
             col = 1
             continue
-        if ch in " \t\r":
+        if ch in " \t":
             i += 1
             col += 1
             continue
         if ch == "#":
-            while i < n and text[i] != "\n":
+            while i < n and text[i] not in _LINE_BREAKS:
                 i += 1
             continue
         if text.startswith("(x)", i):

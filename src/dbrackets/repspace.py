@@ -350,8 +350,8 @@ def _solve_exact(columns, target: CPoly):
     """Solve sum_i x_i columns_i = target over the rationals, or return None."""
     monomials = sorted(set(target.terms) | {m for col in columns
                                             for m in col.terms})
-    rows = [[col.terms.get(m, Fraction(0)) for col in columns]
-            + [target.terms.get(m, Fraction(0))] for m in monomials]
+    rows = [[col.terms.get(m, 0) for col in columns]
+            + [target.terms.get(m, 0)] for m in monomials]
     ncols = len(columns)
     pivots = []
     r = 0
@@ -360,7 +360,7 @@ def _solve_exact(columns, target: CPoly):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
+        inv = Fraction(1) / rows[r][c]  # int / int would be a float
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -371,7 +371,7 @@ def _solve_exact(columns, target: CPoly):
     for i in range(r, len(rows)):
         if rows[i][ncols]:
             return None
-    sol = [Fraction(0)] * ncols
+    sol = [0] * ncols
     for i, c in enumerate(pivots):
         sol[c] = rows[i][ncols]
     return sol

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .bimodule import BimodKind
 from .commpoly import CPoly
-from .freealg import FreeAlgebra, LinComb, _tadd
+from .freealg import FreeAlgebra, LinComb, _q, _tadd
 from .repspace import PoissonStructure, RepJacobiReport, jacobi_sweep
 
 
@@ -59,7 +59,7 @@ class MatTensor2(_OverMatrices):
         for key, c in (terms or {}).items():
             if not all(1 <= x <= N for x in key):
                 raise ValueError(f"index {key} out of range for N={N}")
-            c = Fraction(c)
+            c = _q(c)
             if c:
                 data[key] = c
         self.terms = data
@@ -127,7 +127,7 @@ def standard_r(N: int) -> MatTensor2:
     terms = {}
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
-            terms[(i, j, j, i)] = Fraction(1)
+            terms[(i, j, j, i)] = 1
         terms[(i, i, i, i)] = Fraction(1, 2)
     return MatTensor2(N, terms)
 
@@ -136,7 +136,7 @@ def casimir(N: int) -> MatTensor2:
     """sum_{i,j} e_ij (x) e_ji; invariant under the swap."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return MatTensor2(N, {(i, j, j, i): Fraction(1)
+    return MatTensor2(N, {(i, j, j, i): 1
                           for i in range(1, N + 1) for j in range(1, N + 1)})
 
 
@@ -224,8 +224,10 @@ def parse_mat_tensor2(text: str, N: int | None = None) -> MatTensor2:
             c = Fraction(parts[4])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"line {lineno}: zero denominator") from None
         key = (i, j, k, l)
-        terms[key] = terms.get(key, Fraction(0)) + c
+        terms[key] = terms.get(key, 0) + c
         max_idx = max(max_idx, i, j, k, l)
     if N is None:
         N = max(max_idx, 1)

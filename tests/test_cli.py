@@ -7,8 +7,9 @@ import pytest
 
 from dbrackets import FreeAlgebra
 from dbrackets.cli import main, run_text
-from dbrackets.parsing import (_MAX_NESTING, ParseError, format_session,
-                               parse_poly, parse_session, parse_tensor2)
+from dbrackets.parsing import (_LINE_BREAKS, _MAX_NESTING, ParseError,
+                               format_session, parse_poly, parse_session,
+                               parse_tensor2)
 
 from helpers import two_gen
 
@@ -199,6 +200,15 @@ def test_gradient_classify_rejects_stray_arguments(capsys):
         "error: gradient classify takes no positional arguments\n"
 
 
+def test_gradient_classify_rejects_zero_denominators(capsys):
+    code = main(["gradient", "classify", "--family", "linear",
+                 "--coeffs", "1,1/0,2,3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator in --coeffs 1,1/0,2,3\n"
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     session = tmp_path / "s.txt"
     session.write_text(VDB_SESSION)
@@ -343,3 +353,25 @@ def test_argument_parse_errors_point_into_the_session():
     assert out.splitlines()[-1] == (
         f"error: line 6, column {16 + _MAX_NESTING}: "
         f"parentheses nested more than {_MAX_NESTING} deep")
+
+
+def test_tokenizer_breaks_lines_where_splitlines_does():
+    breaks = [c for c in map(chr, range(0x110000))
+              if len(f"a{c}b".splitlines()) == 2]
+    assert sorted(breaks) == sorted(_LINE_BREAKS)
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n", "\u2028"])
+def test_session_positions_with_other_line_endings(newline):
+    def session(*lines):
+        return run_text(newline.join(lines) + newline)
+
+    assert session("algebra { gens: x, y }", "bimodule { kind: bogus }",
+                   "check poisson") == (
+        "error: line 2, column 18: unknown bimodule kind 'bogus'\n", 2)
+    assert session("algebra { gens: x, y }", "bracket { <x,y> = 0 }",
+                   "jacobiator x y (y") == (
+        "error: line 3, column 18: expected ')', found ''\n", 2)
+    lines = ["algebra { gens: x, y }", "bracket { <x,y> = 1 (x) 1 }",
+             "check antisym", "# note", "jacobiator x y y"]
+    assert session(*lines) == run_text("\n".join(lines) + "\n")

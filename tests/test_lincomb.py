@@ -50,6 +50,19 @@ def _mattensor3():
 CASES = {"NCPoly": _ncpoly, "Tensor2": _tensor2, "Tensor3": _tensor3,
          "CPoly": _cpoly, "MatTensor2": _mattensor2, "MatTensor3": _mattensor3}
 
+# per class, two elements built from integers only
+INTEGRAL = {
+    "NCPoly": lambda: (X * Y - Y.scale(2) + ONE.scale(3), Y * X),
+    "Tensor2": lambda: (A.t2(X, Y) - A.unit2().scale(2), A.t2(Y, X * X)),
+    "Tensor3": lambda: (A.t3(X, ONE, Y).scale(-2) + A.t3(Y, Y, Y),
+                        A.t3(ONE, X, ONE)),
+    "CPoly": lambda: (CPoly.var("a") * CPoly.var("b") - CPoly.const(3),
+                      CPoly.var("a", 2)),
+    "MatTensor2": lambda: (casimir(2).scale(3),
+                           MatTensor2(2, {(1, 2, 1, 2): 5})),
+    "MatTensor3": lambda: (casimir(2).embed((1, 2)), casimir(2).embed((1, 3))),
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_linear_identities(name):
@@ -64,7 +77,13 @@ def test_linear_identities(name):
     assert a - a == a.scale(0)
     assert a.scale(0).is_zero()
     assert (a + (-a)).is_zero()
-    assert all(isinstance(c, Fraction) for c in (a + b).terms.values())
+    # coefficients are nonzero rationals, never floats; integral inputs
+    # keep them integers
+    assert all(type(c) in (int, Fraction) and c
+               for c in (a + b).terms.values())
+    i, j = INTEGRAL[name]()
+    assert all(type(c) is int
+               for c in (i.scale(3) - j + (-i)).terms.values())
     assert 0 not in (a + b - a).terms.values()
 
 

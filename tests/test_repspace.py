@@ -388,6 +388,17 @@ def test_trace_closure_failure_is_loud():
         express_in_trace_basis(var(0, 1, 2), A, 2, max_word_len=3)
 
 
+def test_trace_basis_solution_stays_exact():
+    # det X = (tr(X)^2 - tr(X^2)) / 2: integer target, half-integer solution
+    A = FreeAlgebra(["x"])
+    det = var(0, 1, 1) * var(0, 2, 2) - var(0, 1, 2) * var(0, 2, 1)
+    combo = express_in_trace_basis(det, A, 2)
+    assert {tuple(str(nk) for nk in label): c
+            for label, c in combo.items()} == {
+        ("[x]", "[x]"): Fraction(1, 2), ("[x*x]",): Fraction(-1, 2)}
+    assert all(type(c) is Fraction for c in combo.values())
+
+
 # -- cross-layer proof identities ----------------------------------------------
 
 def _tensor3_entries(t3, n, idx1, idx2, idx3):

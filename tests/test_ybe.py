@@ -151,6 +151,8 @@ def test_sparse_text_roundtrip():
                        (2, 1, 1, 2): Fraction(-1, 2)})
     with pytest.raises(ValueError):
         parse_mat_tensor2("1 2 3\n")
+    with pytest.raises(ValueError, match="line 2: zero denominator"):
+        parse_mat_tensor2("1 1 1 1 1\n1 2 2 1 1/0\n")
 
 
 def test_index_bounds_checked():
