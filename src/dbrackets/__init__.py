@@ -34,7 +34,7 @@ from .gradient import (ClassifyReport, classify, double_derivation,
                        is_fully_noncommutative, leading_part_poisson,
                        symmetrize)
 from .parsing import (ParseError, SessionSpec, format_session, parse_poly,
-                      parse_session, parse_tensor2)
+                      parse_rational, parse_session, parse_tensor2)
 from .repspace import (EntryVar, MatPoly, PoissonStructure, RepJacobiReport,
                        abelianized_bracket, check_rep_morphism, entry_name,
                        eval_nc, express_in_trace_basis, induce, jacobi_defect,

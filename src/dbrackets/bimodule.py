@@ -21,33 +21,31 @@ from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Tensor2, _first_failure,
 
 
 class BimodKind(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    OUTER = "outer"
-    INNER = "inner"
+    """A slot pair: the tensor factor that ``a`` multiplies from the left
+    in a . d . b, and the factor that ``b`` multiplies from the right."""
+
+    LEFT = "left", 0, 0
+    RIGHT = "right", 1, 1
+    OUTER = "outer", 0, 1
+    INNER = "inner", 1, 0
+
+    def __new__(cls, value, a_slot, b_slot):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.slots = (a_slot, b_slot)
+        return kind
 
     def __str__(self):
         return self.value
 
 
-_SWAP_KIND = {
-    BimodKind.LEFT: BimodKind.RIGHT,
-    BimodKind.RIGHT: BimodKind.LEFT,
-    BimodKind.OUTER: BimodKind.INNER,
-    BimodKind.INNER: BimodKind.OUTER,
-}
-
-
 class Bimodule:
     """One of the four standard A-actions on A (x) A, with a twist pair.
 
-    The action of (a, b) on d = d' (x) d'' is, writing A = alpha(a) and
-    B = beta(b):
-
-    * left:   A d' B (x) d''
-    * right:  d' (x) A d'' B
-    * outer:  A d' (x) d'' B
-    * inner:  d' B (x) A d''
+    (a, b) acts on d = d' (x) d'' through A = alpha(a) and B = beta(b): A
+    multiplies factor ``kind.slots[0]`` of d from the left, B multiplies
+    factor ``kind.slots[1]`` from the right.  So left is A d' B (x) d'',
+    right d' (x) A d'' B, outer A d' (x) d'' B and inner d' B (x) A d''.
     """
 
     __slots__ = ("kind", "alpha", "beta", "alg")
@@ -95,27 +93,23 @@ def act(m: Bimodule, a: NCPoly, d: Tensor2, b: NCPoly) -> Tensor2:
     m.alg._check(b)
     pa = a if m.alpha.is_identity() else m.alpha(a)
     pb = b if m.beta.is_identity() else m.beta(b)
-    kind = m.kind
+    a_slot, b_slot = m.kind.slots
     data = {}
     for (w1, w2), cd in d.terms.items():
         for u, cu in pa.terms.items():
+            l1, l2 = (u + w1, w2) if a_slot == 0 else (w1, u + w2)
+            c = cd * cu
             for v, cv in pb.terms.items():
-                c = cd * cu * cv
-                if kind is BimodKind.LEFT:
-                    key = (u + w1 + v, w2)
-                elif kind is BimodKind.RIGHT:
-                    key = (w1, u + w2 + v)
-                elif kind is BimodKind.OUTER:
-                    key = (u + w1, w2 + v)
-                else:  # INNER
-                    key = (w1 + v, u + w2)
-                _tadd(data, key, c)
+                _tadd(data, (l1 + v, l2) if b_slot == 0 else (l1, l2 + v),
+                      c * cv)
     return Tensor2(m.alg, data)
 
 
 def swap_bimodule(m: Bimodule) -> Bimodule:
-    """The action conjugated by the swap; kinds pair up outer/inner, left/right."""
-    return Bimodule(_SWAP_KIND[m.kind], m.alpha, m.beta)
+    """The action conjugated by the swap: both slots flip."""
+    flipped = tuple(1 - slot for slot in m.kind.slots)
+    return Bimodule(next(k for k in BimodKind if k.slots == flipped),
+                    m.alpha, m.beta)
 
 
 @dataclass
@@ -138,15 +132,17 @@ class SwapCommutingReport:
                 f"{lhs} != {rhs}")
 
 
+_TRIALS, _SEED = 25, 7  # check_swap_commuting's random phase: cases, seed
+
+
 def check_swap_commuting(action, degree_bound: int = 3, *,
-                         alg: FreeAlgebra | None = None,
-                         trials: int = 25, seed: int = 7) -> SwapCommutingReport:
+                         alg: FreeAlgebra | None = None) -> SwapCommutingReport:
     """Bounded verification that an action commutes with its swap action.
 
     ``action`` is a Bimodule or any function (a, d, b) -> Tensor2 that is a
     bimodule action; the swap action is derived from it.  The check runs
     over all ring arguments of length <= 1 and all d = w (x) w' with
-    |w| + |w'| <= degree_bound, then over ``trials`` seeded pseudo-random
+    |w| + |w'| <= degree_bound, then over ``_TRIALS`` seeded pseudo-random
     higher-degree cases.  A negative verdict carries the first violating
     tuple; this is a bounded verification, not a proof.
     """
@@ -174,14 +170,14 @@ def check_swap_commuting(action, degree_bound: int = 3, *,
                for total in range(degree_bound + 1)
                for k in range(total + 1)
                for w1 in alg.words(k) for w2 in alg.words(total - k)]
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
 
     def random_word(lo, hi):
         return alg.monomial(tuple(rng.randrange(alg.ngens)
                                   for _ in range(rng.randint(lo, hi))))
 
     def random_cases():
-        for _ in range(trials):
+        for _ in range(_TRIALS):
             d = alg.t2(random_word(0, degree_bound + 2),
                        random_word(0, degree_bound + 2))
             yield (d, *(random_word(1, 2) for _ in range(4)))
@@ -191,4 +187,4 @@ def check_swap_commuting(action, degree_bound: int = 3, *,
         itertools.product(tensors, *[ring_args] * 4), random_cases()), violated)
     cases = min(tried, len(tensors) * len(ring_args) ** 4)
     return SwapCommutingReport(witness is None, witness, cases, tried - cases,
-                               degree_bound, seed)
+                               degree_bound, _SEED)

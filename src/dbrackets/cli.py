@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .bimodule import check_swap_commuting
 from .dbracket import (check_antisymmetry, is_poisson, is_weak_poisson,
                        jacobiator)
 from .freealg import FreeAlgebra
 from .gradient import FAMILIES, classify
-from .parsing import ParseError, SessionSpec, parse_poly, parse_session
+from .parsing import (ParseError, SessionSpec, parse_poly, parse_rational,
+                      parse_session)
 from .repspace import (entry_name, induce, jacobi_sweep, matrix_tensor_bracket,
                        trace_bracket)
 from .ybe import (check_entry_jacobi, cybe_defect, entry_bracket,
@@ -262,10 +262,9 @@ def _cmd_gradient(args, rep):
         elif family == "linear":
             raw = opts.get("--coeffs", "0,1,1,1")
             try:
-                kwargs["coeffs"] = [Fraction(x) for x in raw.split(",")]
-            except ZeroDivisionError:
-                raise CommandError(
-                    f"zero denominator in --coeffs {raw}") from None
+                kwargs["coeffs"] = [parse_rational(x) for x in raw.split(",")]
+            except ParseError as exc:
+                raise CommandError(f"{exc.reason} in --coeffs {raw}") from None
         else:
             raise CommandError("custom family needs --poly")
     report = classify(alg, family, **kwargs)
@@ -282,42 +281,44 @@ _SESSION_COMMANDS = {
     "check": _cmd_check,
     "jacobiator": _cmd_jacobiator,
     "rep": _cmd_rep,
+    "ybe": lambda session, args, rep: _cmd_ybe(args, rep),
+    "gradient": lambda session, args, rep: _cmd_gradient(args, rep),
 }
 
 
 def run(session: SessionSpec, fmt: str = "plain") -> tuple:
     """Execute the commands of a parsed session; return (report text, code).
     A failing command's output is replaced by its ``error:`` line."""
-    rep = Reporter(fmt)
-    done = 0
-    try:
-        for cmd in session.commands:
-            name, args = cmd[0], list(cmd[1:])
-            rep.say(f"$ {' '.join(cmd)}", command=" ".join(cmd))
-            if name in _SESSION_COMMANDS:
-                _SESSION_COMMANDS[name](session, args, rep)
-            elif name == "ybe":
-                _cmd_ybe(args, rep)
-            elif name == "gradient":
-                _cmd_gradient(args, rep)
-            else:
-                raise CommandError(f"unknown command {name!r}")
-            done = len(rep.lines)
-    except Exception as exc:  # the CLI boundary: never exit 1 on a crash
-        message, code = _failure(exc)
-        rep.lines[done:] = [message]
-        return rep.text(), code
-    return rep.text(), (FAIL if rep.failed else OK)
+    out, error, code = _run(session, fmt)
+    return out + error, code
 
 
 def run_text(text: str, fmt: str = "plain") -> tuple:
     """Parse and run a session given as text; return (report text, exit code)."""
+    out, error, code = _run(text, fmt)
+    return out + error, code
+
+
+def _run(session, fmt: str) -> tuple:
+    """(the output of the commands that completed, the ``error:`` line of
+    the one that failed or "", exit code); text is parsed first."""
+    rep = Reporter(fmt)
+    done = 0
     try:
-        session = parse_session(text)
+        if isinstance(session, str):
+            session = parse_session(session)
+        for cmd in session.commands:
+            name, args = cmd[0], list(cmd[1:])
+            rep.say(f"$ {' '.join(cmd)}", command=" ".join(cmd))
+            if name not in _SESSION_COMMANDS:
+                raise CommandError(f"unknown command {name!r}")
+            _SESSION_COMMANDS[name](session, args, rep)
+            done = len(rep.lines)
     except Exception as exc:  # the CLI boundary: never exit 1 on a crash
         message, code = _failure(exc)
-        return message + "\n", code
-    return run(session, fmt)
+        del rep.lines[done:]
+        return rep.text(), message + "\n", code
+    return rep.text(), "", (FAIL if rep.failed else OK)
 
 
 def _failure(exc: Exception) -> tuple:
@@ -350,8 +351,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE
-        out, code = run_text(text, ns.format)
+        out, error, code = _run(text, ns.format)
         sys.stdout.write(out)
+        sys.stderr.write(error)
         return code
     rep = Reporter(ns.format)
     try:

@@ -76,23 +76,16 @@ class CPoly(LinComb):
     def degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=-1)
 
-    def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
-
-    def partial(self, v) -> "CPoly":
-        """Formal partial derivative with respect to the variable v."""
+    def partials(self) -> list:
+        """[(v, the partial derivative by v)] for the variables v of self,
+        sorted by v, from one pass over the terms."""
         data = {}
         for m, c in self.terms.items():
-            for idx, (w, e) in enumerate(m):
-                if w == v:
-                    rest = m[:idx] + ((w, e - 1),) + m[idx + 1:] if e > 1 \
-                        else m[:idx] + m[idx + 1:]
-                    _tadd(data, rest, c * e)
-                    break
-        return CPoly(data)
+            for idx, (v, e) in enumerate(m):
+                rest = m[:idx] + ((v, e - 1),) + m[idx + 1:] if e > 1 \
+                    else m[:idx] + m[idx + 1:]
+                _tadd(data.setdefault(v, {}), rest, c * e)
+        return [(v, CPoly(data[v])) for v in sorted(data)]
 
     def substitute(self, mapping: Callable) -> "CPoly":
         """Ring homomorphism determined by variable images mapping(v) -> CPoly."""
@@ -123,18 +116,12 @@ def poisson_biderivation(table: Callable, f: CPoly, g: CPoly,
     ``twist`` is provided it is applied to both partial derivatives, which
     realises the twisted Leibniz rules {f, gh} = t(g){f,h} + {f,g}t(h).
     """
-    g_partials = []
-    for w in sorted(g.variables()):
-        gw = g.partial(w)
-        if not gw.is_zero():
-            g_partials.append((w, gw if twist is None else twist(gw)))
+    g_partials, f_partials = g.partials(), f.partials()
+    if twist is not None:
+        g_partials = [(w, twist(gw)) for w, gw in g_partials]
+        f_partials = [(v, twist(fv)) for v, fv in f_partials]
     data = {}
-    for v in sorted(f.variables()):
-        fv = f.partial(v)
-        if fv.is_zero():
-            continue
-        if twist is not None:
-            fv = twist(fv)
+    for v, fv in f_partials:
         for w, gw in g_partials:
             br = table(v, w)
             if br.is_zero():

@@ -34,11 +34,12 @@ JAC_FORMS = ("left", "mixed", "right", "pair-right")
 class DoubleBracket:
     """A bimodule structure plus a generator-pair table of tensor values.
 
-    The table holds <<g_i, g_j>> for every ordered pair; the values on all
-    of A follow from the Leibniz rules.  Valid tables satisfy
-    table[j, i] = -swap(table[i, j]); ``from_pairs`` fills the lower half
-    automatically and validates, while ``from_full_table_unchecked`` skips
-    both steps (it exists to study operations that fail antisymmetry).
+    The table holds <<g_i, g_j>> for every ordered pair (zero if omitted);
+    the values on all of A follow from the Leibniz rules.  The constructor
+    fills in each reverse pair by cyclic antisymmetry, table[j, i] =
+    -swap(table[i, j]), and raises where a given entry disagrees;
+    ``from_full_table_unchecked`` takes the entries as they are (to study
+    operations that fail antisymmetry).
     """
 
     __slots__ = ("bimodule", "gen_table", "alg", "_star",
@@ -46,64 +47,34 @@ class DoubleBracket:
 
     def __init__(self, bimodule: Bimodule, gen_table: dict, *, validate: bool = True):
         self.bimodule = bimodule
-        self.alg = bimodule.alg
+        self.alg = alg = bimodule.alg
         table = {}
-        for (i, j), d in gen_table.items():
-            self.alg._check(d)
-            table[(self.alg.gen_index(i), self.alg.gen_index(j))] = d
-        zero = self.alg.zero2()
-        for i in range(self.alg.ngens):
-            for j in range(self.alg.ngens):
+        for (g, h), d in gen_table.items():
+            alg._check(d)
+            i, j = alg.gen_index(g), alg.gen_index(h)
+            if not validate:
+                table[(i, j)] = d
+                continue
+            for key, value in (((i, j), d), ((j, i), -d.swap())):
+                if table.setdefault(key, value) != value:
+                    a, b = (alg.names[k] for k in key)
+                    raise ValueError(
+                        f"<{a},{b}> would be both {table[key]} and {value}; "
+                        f"each entry fixes its reverse by cyclic antisymmetry")
+        zero = alg.zero2()
+        for i in range(alg.ngens):
+            for j in range(alg.ngens):
                 table.setdefault((i, j), zero)
         self.gen_table = table
-        if validate:
-            self._validate()
         self._star = swap_bimodule(bimodule)
         self._eval_cache = {}
         self._jac_cache = {}
 
-    def _validate(self):
-        for i in range(self.alg.ngens):
-            for j in range(i, self.alg.ngens):
-                d, e = self.gen_table[(i, j)], self.gen_table[(j, i)]
-                if e != -d.swap():
-                    names = self.alg.names
-                    raise ValueError(
-                        f"cyclic antisymmetry fails on generators "
-                        f"({names[i]}, {names[j]}): <<{names[j]},{names[i]}>> "
-                        f"= {e} but -swap(<<{names[i]},{names[j]}>>) = {-d.swap()}")
-
     @classmethod
     def from_pairs(cls, bimodule: Bimodule, entries: dict) -> "DoubleBracket":
-        """Build from entries for pairs (g, h); omitted pairs default to zero.
-
-        The value for (h, g) is derived by cyclic antisymmetry when absent;
-        an explicit conflicting entry is an error, never a silent override.
-        """
-        alg = bimodule.alg
-        table = {}
-        for (g, h), d in entries.items():
-            key = (alg.gen_index(g), alg.gen_index(h))
-            if key in table and table[key] != d:
-                raise ValueError(f"conflicting entries for generator pair "
-                                 f"({alg.names[key[0]]}, {alg.names[key[1]]})")
-            table[key] = d
-        for (i, j), d in list(table.items()):
-            rev = (j, i)
-            derived = -d.swap()
-            if i == j:
-                if d != derived:
-                    raise ValueError(
-                        f"diagonal entry <{alg.names[i]},{alg.names[i]}> must "
-                        f"equal minus its own swap")
-            elif rev in table:
-                if table[rev] != derived:
-                    raise ValueError(
-                        f"entries for ({alg.names[i]}, {alg.names[j]}) and "
-                        f"({alg.names[j]}, {alg.names[i]}) violate cyclic antisymmetry")
-            else:
-                table[rev] = derived
-        return cls(bimodule, table, validate=True)
+        """Build from entries for pairs (g, h), as the constructor does: an
+        entry that disagrees with another's reverse is an error."""
+        return cls(bimodule, entries)
 
     @classmethod
     def from_full_table_unchecked(cls, bimodule: Bimodule, entries: dict) -> "DoubleBracket":
@@ -139,49 +110,42 @@ def _mono(alg, w) -> NCPoly:
     return NCPoly(alg, {w: 1})
 
 
-def _eval_words(db: DoubleBracket, u, v, star_first: bool = False) -> Tensor2:
+def _eval_words(db: DoubleBracket, u, v) -> Tensor2:
     """<<u, v>> for words u, v by the Leibniz rules, memoised per bracket.
 
-    v expands through the bracket's bimodule, <<u, v>> = sum_l v[:l] .
-    <<u, v_l>> . v[l+1:], and u through its swap, <<u, v>> = sum_k u[:k] *
-    <<u_k, v>> * u[k+1:].  The outer loop runs over v if ``star_first``,
-    over u if not, and never over a single letter; its pieces have a
-    one-letter argument and are memoised, so the recursion is at most two
-    calls deep.  For swap-commuting structures the order cannot matter.
+    u expands through the swap of the bracket's bimodule, <<u, v>> =
+    sum_k u[:k] * <<u_k, v>> * u[k+1:], unless it is a single letter; then
+    v expands through the bimodule, <<u, v>> = sum_l v[:l] . <<u, v_l>> .
+    v[l+1:].  The pieces have a one-letter argument and are memoised, so
+    the recursion is at most two calls deep.
     """
-    key = (u, v, star_first)
-    out = db._eval_cache.get(key)
+    out = db._eval_cache.get((u, v))
     if out is None:
         if len(u) == 1 and len(v) == 1:
             out = db.gen_table[(u[0], v[0])]
         else:
-            second = len(v) != 1 and (star_first or len(u) == 1)
+            second = len(u) == 1
             word, m = (v, db.bimodule) if second else (u, db._star)
             data = {}
             for k, g in enumerate(word):  # an empty word gives zero
-                piece = (_eval_words(db, u, (g,), star_first) if second
-                         else _eval_words(db, (g,), v, star_first))
+                piece = (_eval_words(db, u, (g,)) if second
+                         else _eval_words(db, (g,), v))
                 if piece.terms:
                     act(m, _mono(db.alg, word[:k]), piece,
                         _mono(db.alg, word[k + 1:])).add_into(data)
             out = Tensor2(db.alg, data)
-        db._eval_cache[key] = out
+        db._eval_cache[(u, v)] = out
     return out
 
 
-def eval_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly,
-                 star_first: bool = False) -> Tensor2:
-    """Bilinear extension of the generator table by the Leibniz rules.
-
-    ``star_first`` expands the first argument before the second; the value
-    is the same for every swap-commuting bimodule structure.
-    """
+def eval_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly) -> Tensor2:
+    """Bilinear extension of the generator table by the Leibniz rules."""
     db.alg._check(a)
     db.alg._check(b)
     data = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
-            _eval_words(db, u, v, star_first).add_into(data, cu * cv)
+            _eval_words(db, u, v).add_into(data, cu * cv)
     return Tensor2(db.alg, data)
 
 

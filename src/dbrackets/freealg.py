@@ -13,8 +13,8 @@ elements and of the package's other finite linear combinations
 No floating point is used anywhere: all arithmetic is exact.  A
 coefficient is stored as an ``int`` when it is integral and as a
 ``Fraction`` otherwise, never as a ``float``; ``_q`` normalises numbers
-where they enter (``scale`` and the element constructors), and integer
-arithmetic stays integral from there on.
+where they enter (``scale`` and the element constructors) and refuses
+floats there, and integer arithmetic stays integral from there on.
 """
 
 from __future__ import annotations
@@ -81,7 +81,10 @@ def _tadd(data: dict, key, coeff) -> None:
 def _q(c):
     """The stored form of the rational c: an ``int`` when it is integral,
     a ``Fraction`` otherwise.  ``2 == Fraction(2)`` and both hash alike, so
-    the two forms may meet in one dict."""
+    the two forms may meet in one dict.  A ``float`` is refused: its exact
+    binary value is seldom the number that was meant."""
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}; give an int, a Fraction or 'p/q'")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -253,7 +256,8 @@ class FreeAlgebra:
 
     def monomial(self, word: Iterable, coeff=1) -> "NCPoly":
         w = tuple(self.gen_index(g) for g in word)
-        return NCPoly(self, {w: _q(coeff)}) if coeff else self.zero()
+        c = _q(coeff)
+        return NCPoly(self, {w: c} if c else {})
 
     def poly(self, terms: Mapping) -> "NCPoly":
         data = {}

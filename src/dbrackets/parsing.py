@@ -29,6 +29,7 @@ from .freealg import AlgEndo, FreeAlgebra, NCPoly, Tensor2
 
 class ParseError(ValueError):
     def __init__(self, message, line=None, col=None):
+        self.reason = message  # without the position
         if line is not None:
             message = f"line {line}, column {col}: {message}"
         super().__init__(message)
@@ -240,6 +241,14 @@ def parse_poly(alg: FreeAlgebra, text: str) -> NCPoly:
     p = _parse_poly_expr(cur, alg)
     cur.expect("EOF")
     return p
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational number of the grammar, ``[-]p[/q]``."""
+    cur = _Cursor(tokenize(text))
+    value = (-1 if cur.accept("-") else 1) * _parse_rational(cur)
+    cur.expect("EOF")
+    return value
 
 
 def parse_tensor2(alg: FreeAlgebra, text: str) -> Tensor2:

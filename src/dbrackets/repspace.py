@@ -120,14 +120,13 @@ def _entry_images(phi: AlgEndo, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _arranged_indices(kind: BimodKind, i, j, k, l):
-    """Index pairs receiving the two tensor slots, per bimodule kind."""
-    if kind is BimodKind.OUTER:
-        return (k, j), (i, l)
-    if kind is BimodKind.INNER:
-        return (i, l), (k, j)
-    if kind is BimodKind.RIGHT:
-        return (i, j), (k, l)
-    return (k, l), (i, j)  # LEFT
+    """Index pairs receiving the two tensor slots in {x_ij, y_kl}: y's row
+    k goes to the factor that the kind's ``a`` multiplies, its column l to
+    the factor that ``b`` multiplies, and i, j fill the other two places."""
+    a_slot, b_slot = kind.slots
+    rows = (k, i) if a_slot == 0 else (i, k)
+    cols = (l, j) if b_slot == 0 else (j, l)
+    return (rows[0], cols[0]), (rows[1], cols[1])
 
 
 class PoissonStructure:

@@ -2,7 +2,8 @@
 
 import itertools
 
-from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, swap_equivalent)
+from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, act,
+                       swap_bimodule, swap_equivalent)
 
 
 def two_gen():
@@ -86,3 +87,26 @@ def triples(alg, max_deg, min_deg=1):
 
 def pairs(alg, max_deg, min_deg=1):
     return itertools.product(monomials(alg, max_deg, min_deg), repeat=2)
+
+
+def letter_pair_eval(db, u, v, star_first):
+    """<<u, v>> for words u, v by the letter-pair evaluation: every
+    occurrence pair contributes prefix/suffix actions around the generator
+    pair value, the second argument through the bracket's bimodule and the
+    first through its swap, applied in the order ``star_first`` names (the
+    first argument's action innermost if true).  Both orders are kept as
+    references for the one order the library evaluates in."""
+    alg = db.alg
+    dot, star = db.bimodule, swap_bimodule(db.bimodule)
+    total = alg.zero2()
+    for k in range(len(u)):
+        for l in range(len(v)):
+            d = db.gen_table[(u[k], v[l])]
+            if star_first:
+                t = act(star, alg.monomial(u[:k]), d, alg.monomial(u[k + 1:]))
+                t = act(dot, alg.monomial(v[:l]), t, alg.monomial(v[l + 1:]))
+            else:
+                t = act(dot, alg.monomial(v[:l]), d, alg.monomial(v[l + 1:]))
+                t = act(star, alg.monomial(u[:k]), t, alg.monomial(u[k + 1:]))
+            total = total + t
+    return total

@@ -1,6 +1,7 @@
 """The four actions on the tensor square, their swaps, and the checker."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,49 @@ def test_action_placements():
     assert act(Bimodule("inner", alg=A), x, d, y) == A.t2(y, x)
     assert act(Bimodule("left", alg=A), x, d, y) == A.t2(x * y, one)
     assert act(Bimodule("right", alg=A), x, d, y) == A.t2(one, x * y)
+
+
+def _branchy_act(m, a, d, b):
+    """The action as written before kinds became slot pairs: one formula
+    per kind, chosen inside the innermost loop."""
+    pa, pb = m.alpha(a), m.beta(b)
+    data = {}
+    for (w1, w2), cd in d.terms.items():
+        for u, cu in pa.terms.items():
+            for v, cv in pb.terms.items():
+                if m.kind is BimodKind.LEFT:
+                    key = (u + w1 + v, w2)
+                elif m.kind is BimodKind.RIGHT:
+                    key = (w1, u + w2 + v)
+                elif m.kind is BimodKind.OUTER:
+                    key = (u + w1, w2 + v)
+                else:  # INNER
+                    key = (w1 + v, u + w2)
+                _tadd(data, key, cd * cu * cv)
+    return Tensor2(m.alg, data)
+
+
+@pytest.mark.parametrize("kind", list(BimodKind))
+def test_slot_pair_action_equals_the_per_kind_formulas(kind):
+    A = two_gen()
+    x, y = xy(A)
+    alpha = AlgEndo(A, {"x": y, "y": x + A.one()})
+    beta = AlgEndo(A, {"x": x * y, "y": y.scale(2)})
+    ring = monomials(A, 2, 0) + [x - y.scale(3), x * y + A.one()]
+    tensors = [A.unit2(), A.t2(x, y * x) - A.t2(A.one(), y),
+               A.t2(x + y, x * x).scale(Fraction(1, 2))]
+    for m in (Bimodule(kind, alg=A), Bimodule(kind, alpha, alpha),
+              Bimodule(kind, alpha, beta)):
+        for a, d, b in itertools.product(ring, tensors, ring):
+            assert act(m, a, d, b) == _branchy_act(m, a, d, b)
+
+
+def test_kind_slot_pairs():
+    assert {k.value: k.slots for k in BimodKind} == {
+        "left": (0, 0), "right": (1, 1), "outer": (0, 1), "inner": (1, 0)}
+    for kind in BimodKind:
+        swapped = swap_bimodule(Bimodule(kind, alg=two_gen())).kind
+        assert swapped.slots == tuple(1 - s for s in kind.slots)
 
 
 def test_twisted_action():

@@ -209,6 +209,46 @@ def test_gradient_classify_rejects_zero_denominators(capsys):
     assert captured.err == "error: zero denominator in --coeffs 1,1/0,2,3\n"
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ("0.5,1,1,1", "unexpected character '.'"),
+    ("1,1e400,2,3", "expected 'EOF', found 'e400'"),
+    ("1,,2,3", "expected 'NUMBER', found ''"),
+    ("1,2/-3,2,3", "expected 'NUMBER', found '-'"),
+])
+def test_gradient_classify_coeffs_take_only_grammar_rationals(
+        capsys, coeffs, message):
+    code = main(["gradient", "classify", "--family", "linear",
+                 "--coeffs", coeffs])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} in --coeffs {coeffs}\n"
+
+
+def test_gradient_classify_coeffs_accept_signed_fractions(capsys):
+    assert main(["gradient", "classify", "--family", "linear",
+                 "--coeffs", "-1/2,3,-2,1"]) == 0
+    out = capsys.readouterr().out
+    assert "potential: -1/2 + 3*x1 - 2*x2 + x3\n" in out
+
+
+def test_run_writes_its_error_line_to_stderr(tmp_path, capsys):
+    good = VDB_SESSION + "check antisym\n"
+    path = tmp_path / "s.txt"
+    path.write_text(good + "jacobiator x y z\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == run_text(good)[0]
+    assert captured.err == "error: line 6, column 16: undeclared generator 'z'\n"
+    assert run_text(path.read_text()) == (captured.out + captured.err, 2)
+    path.write_text("algebra { gens: x }\nbracket { <x,y> = 1 (x) }\n")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2") and \
+        captured.err.count("\n") == 1
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     session = tmp_path / "s.txt"
     session.write_text(VDB_SESSION)

@@ -19,8 +19,9 @@ from dbrackets.bimodule import act
 from dbrackets.dbracket import _eval_words
 from dbrackets.freealg import P12, P123, P132
 
-from helpers import (bracket_corpus, monomials, outer_poisson, right_const,
-                     triples, twisted_ctr, two_gen, xy)
+from helpers import (bracket_corpus, letter_pair_eval, monomials,
+                     outer_poisson, right_const, triples, twisted_ctr, two_gen,
+                     xy)
 
 
 # -- Leibniz extension -------------------------------------------------------
@@ -49,11 +50,14 @@ def test_eval_vanishes_on_unit():
 
 
 def test_eval_leibniz_order_independence():
+    """The one evaluation order agrees with expanding the first argument
+    before the second."""
     A = two_gen()
     for db in bracket_corpus(A):
-        for a in monomials(A, 3):
-            for b in monomials(A, 3):
-                assert eval_bracket(db, a, b) == eval_bracket(db, a, b, star_first=True)
+        for u in A.words_up_to(3, 1):
+            for v in A.words_up_to(3, 1):
+                assert eval_bracket(db, A.monomial(u), A.monomial(v)) == \
+                    letter_pair_eval(db, u, v, star_first=True)
 
 
 def test_antisymmetry_propagates_from_table():
@@ -80,28 +84,32 @@ def test_table_invariant_enforced():
         {("x", "y"): A.unit2(), ("y", "x"): -A.unit2()})
 
 
+def test_one_antisymmetry_rule_for_every_entry():
+    """Each entry and its derived reverse -swap(d) are checked against what
+    the table already holds: a bad diagonal, a conflicting reverse and two
+    keys for one pair are refused; a consistent reverse is accepted."""
+    A = two_gen()
+    x, y = xy(A)
+    outer = Bimodule("outer", alg=A)
+    d = A.t2(x, y) + A.unit2()
+    with pytest.raises(ValueError, match=r"<x,x> would be both x \(x\) 1 "
+                       r"and -1 \(x\) x"):
+        DoubleBracket.from_pairs(outer, {("x", "x"): A.t2(x, A.one())})
+    with pytest.raises(ValueError, match="<y,x> would be both"):
+        DoubleBracket.from_pairs(outer, {("x", "y"): d, ("y", "x"): d})
+    with pytest.raises(ValueError, match="<x,y> would be both"):
+        DoubleBracket.from_pairs(outer, {("x", "y"): d, (0, 1): -d})
+    db = DoubleBracket.from_pairs(outer, {("x", "y"): d, ("y", "x"): -d.swap(),
+                                          (0, 1): d})
+    assert db.entry("y", "x") == -d.swap() and db.entry("y", "y").is_zero()
+    # the constructor applies the same rule; the unchecked one takes entries
+    # as they are
+    assert DoubleBracket(outer, {("x", "y"): d}).gen_table == db.gen_table
+    raw = DoubleBracket.from_full_table_unchecked(outer, {("x", "y"): d})
+    assert raw.entry("y", "x").is_zero()
+
+
 # -- the Leibniz evaluator against the letter-pair reference ------------------
-
-def _letter_pair_eval(db, u, v, star_first):
-    """The letter-pair evaluation that _eval_words replaced: every
-    occurrence pair contributes prefix/suffix actions around the generator
-    pair value, the second argument through the bracket's bimodule and the
-    first through its swap, applied in the order ``star_first`` names."""
-    alg = db.alg
-    dot, star = db.bimodule, swap_bimodule(db.bimodule)
-    total = alg.zero2()
-    for k in range(len(u)):
-        for l in range(len(v)):
-            d = db.gen_table[(u[k], v[l])]
-            if star_first:
-                t = act(star, alg.monomial(u[:k]), d, alg.monomial(u[k + 1:]))
-                t = act(dot, alg.monomial(v[:l]), t, alg.monomial(v[l + 1:]))
-            else:
-                t = act(dot, alg.monomial(v[:l]), d, alg.monomial(v[l + 1:]))
-                t = act(star, alg.monomial(u[:k]), t, alg.monomial(u[k + 1:]))
-            total = total + t
-    return total
-
 
 def _evaluator_corpus(A):
     """The bracket corpus, its transport by a diagonal twist (all four kinds,
@@ -127,14 +135,17 @@ def test_evaluator_corpus_covers_every_kind_twisted_and_untwisted():
 
 @pytest.mark.parametrize("star_first", [False, True])
 def test_eval_words_equals_letter_pair_reference(star_first):
+    """The one Leibniz order equals the letter-pair reference in either of
+    its orders, on all four kinds, twisted and untwisted, and on a table
+    that fails antisymmetry."""
     A = two_gen()
     words = list(A.words_up_to(3))
     assert () in words
     for db in _evaluator_corpus(A):
         for u in words:
             for v in words:
-                assert _eval_words(db, u, v, star_first) == \
-                    _letter_pair_eval(db, u, v, star_first)
+                assert _eval_words(db, u, v) == \
+                    letter_pair_eval(db, u, v, star_first)
 
 
 def test_eval_words_recursion_depth_does_not_grow_with_the_words(monkeypatch):
@@ -154,11 +165,8 @@ def test_eval_words_recursion_depth_does_not_grow_with_the_words(monkeypatch):
     A = two_gen()
     x, y = xy(A)
     db = right_const(A)
-    for star_first in (False, True):
-        assert eval_bracket(db, x ** 1500, y * x, star_first) == \
-            A.t2(x ** 1499, x).scale(1500)
-        assert eval_bracket(db, y * x, x ** 1500, star_first) == \
-            -A.t2(x, x ** 1499).scale(1500)
+    assert eval_bracket(db, x ** 1500, y * x) == A.t2(x ** 1499, x).scale(1500)
+    assert eval_bracket(db, y * x, x ** 1500) == -A.t2(x, x ** 1499).scale(1500)
     # eval_bracket -> a word pair -> its one-letter pieces -> table entries
     assert depth["max"] == 3
 

@@ -108,3 +108,18 @@ def test_integral_fractions_build_the_same_elements(terms, k):
         assert hash(from_int) == hash(from_fraction)
         assert len({from_int, from_fraction}) == 1
         assert str(from_int) == str(from_fraction)
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: ALG.gen("x").scale(c),
+    lambda c: ALG.monomial("xy", c),
+    lambda c: ALG.poly({("x",): c}),
+    lambda c: CPoly.const(c),
+    lambda c: MatTensor2(2, {(1, 2, 2, 1): c}),
+], ids=["scale", "monomial", "poly", "CPoly.const", "MatTensor2"])
+def test_float_coefficients_are_refused(build):
+    for c in (0.1, 0.5, 2.0, 0.0):
+        with pytest.raises(TypeError, match="float coefficient"):
+            build(c)
+    assert build(Fraction(1, 10)) == build("1/10") != build(Fraction(1, 5))
+    assert build(2) == build(Fraction(2)) == build("2")

@@ -173,6 +173,89 @@ def test_twisted_induce_exposes_twist_images():
     assert induce(outer_poisson(A), n).twist_images is None
 
 
+def _partial(f, v):
+    """df/dv, one scan of f per variable, as CPoly.partial computed it."""
+    data = {}
+    for m, c in f.terms.items():
+        for idx, (w, e) in enumerate(m):
+            if w == v:
+                rest = m[:idx] + ((w, e - 1),) + m[idx + 1:] if e > 1 \
+                    else m[:idx] + m[idx + 1:]
+                data[rest] = data.get(rest, 0) + c * e
+    return CPoly({m: c for m, c in data.items() if c})
+
+
+def _variables(f):
+    return sorted({v for m in f.terms for v, _ in m})
+
+
+def _per_variable_biderivation(ps, f, g):
+    """poisson_eval with the partials taken one variable at a time."""
+    t = (lambda p: p) if ps.is_untwisted() else ps._twist_poly
+    out = CPoly.zero()
+    for v in _variables(f):
+        for w in _variables(g):
+            out = out + t(_partial(f, v)) * t(_partial(g, w)) \
+                * ps.pair_bracket(v, w)
+    return out
+
+
+def test_partials_equal_the_per_variable_derivatives():
+    a, b, c = var(0, 1, 1), var(1, 2, 1), var(0, 1, 2)
+    polys = [CPoly.zero(), CPoly.const(Fraction(3, 4)), a,
+             a ** 3 * b - (b * c).scale(Fraction(2, 5)) + c ** 2 + a,
+             (a + b + c) ** 4, CPoly.var("s", 5) * CPoly.var("r")]
+    for f in polys:
+        assert f.partials() == [(v, _partial(f, v)) for v in _variables(f)]
+        assert all(not pv.is_zero() for _, pv in f.partials())
+
+
+def test_twisted_poisson_eval_equals_the_per_variable_extension():
+    from helpers import twisted_ctr
+    A = two_gen()
+    x, y = xy(A)
+    alpha = AlgEndo(A, {"x": x * y + A.one(), "y": y.scale(2)})
+    db = DoubleBracket.from_pairs(Bimodule("outer", alpha, alpha),
+                                  {("x", "y"): A.t2(x, y), ("x", "x"): A.t2(
+                                      y, A.one()) - A.t2(A.one(), y)})
+    for ps in (induce(twisted_ctr(A), 2), induce(db, 2)):
+        assert not ps.is_untwisted()
+        f = var(0, 1, 2) * var(1, 2, 1) - var(0, 2, 2) ** 2
+        g = var(1, 1, 1) ** 2 + var(0, 1, 2).scale(3) * var(1, 2, 2)
+        for p, q in itertools.product((f, g, var(1, 2, 1)), repeat=2):
+            assert poisson_eval(ps, p, q) == \
+                _per_variable_biderivation(ps, p, q)
+
+
+def _per_kind_indices(kind, i, j, k, l):
+    """The index pairs of the two tensor slots, as written per kind before
+    kinds became slot pairs."""
+    if kind is BimodKind.OUTER:
+        return (k, j), (i, l)
+    if kind is BimodKind.INNER:
+        return (i, l), (k, j)
+    if kind is BimodKind.RIGHT:
+        return (i, j), (k, l)
+    return (k, l), (i, j)  # LEFT
+
+
+def test_induced_tables_equal_the_per_kind_index_table(monkeypatch):
+    import dbrackets.repspace as repspace
+    from dbrackets import TwistPairAuto, apply_equivalence
+    from helpers import bracket_corpus
+    A = two_gen()
+    x, y = xy(A)
+    flip = AlgEndo(A, {"x": y, "y": x})
+    corpus = bracket_corpus(A)
+    corpus += [apply_equivalence(db, TwistPairAuto(flip, flip))
+               for db in corpus]
+    assert {(db.kind(), db.bimodule.is_untwisted()) for db in corpus} == \
+        {(kind, flag) for kind in BimodKind for flag in (True, False)}
+    tables = [induce(db, 2).table for db in corpus]
+    monkeypatch.setattr(repspace, "_arranged_indices", _per_kind_indices)
+    assert tables == [induce(db, 2).table for db in corpus]
+
+
 def test_jacobi_sweep_detects_failure():
     # any bivector in two commuting variables is Poisson, so n = 1 cannot
     # expose the failure; n = 2 does

@@ -15,7 +15,8 @@ from dbrackets.freealg import P123, P132, perm_invert, transposition
 from dbrackets.freealg import _tadd
 from dbrackets import Tensor3
 
-from helpers import bracket_corpus, monomials, outer_poisson, right_const, two_gen, xy
+from helpers import (bracket_corpus, letter_pair_eval, monomials, outer_poisson,
+                     right_const, two_gen, xy)
 
 A = two_gen()
 CORPUS = bracket_corpus(A)
@@ -185,9 +186,10 @@ def check_twisted_outer_jacobiator_expansion():
 
 def check_leibniz_order_independence(max_deg=3):
     for db in CORPUS:
-        for a in monomials(A, max_deg):
-            for b in monomials(A, max_deg):
-                assert eval_bracket(db, a, b) == eval_bracket(db, a, b, star_first=True)
+        for u in A.words_up_to(max_deg, 1):
+            for v in A.words_up_to(max_deg, 1):
+                assert eval_bracket(db, A.monomial(u), A.monomial(v)) == \
+                    letter_pair_eval(db, u, v, star_first=True)
 
 
 def check_jacobiator_forms_agree(max_deg=3):
