@@ -20,7 +20,7 @@ from .bimodule import check_swap_commuting
 from .dbracket import (check_antisymmetry, is_poisson, is_weak_poisson,
                        jacobiator)
 from .freealg import FreeAlgebra
-from .gradient import FAMILIES, classify
+from .gradient import classify
 from .parsing import (ParseError, SessionSpec, parse_poly, parse_rational,
                       parse_session)
 from .repspace import (entry_name, induce, jacobi_sweep, matrix_tensor_bracket,
@@ -40,6 +40,7 @@ class Reporter:
         self.fmt = fmt
         self.lines = []
         self.failed = False
+        self.done = 0  # the lines kept when a later command fails
 
     def say(self, plain: str, **kv):
         if self.fmt == "kv":
@@ -160,9 +161,8 @@ def _cmd_rep(session, args, rep):
     elif what == "jacobi":
         pos, _ = _opts(rest, {}, 1, "rep jacobi needs the matrix size")
         r = jacobi_sweep(induce(_need_bracket(session), int(pos[0])))
-        rep.say(str(r))
-        if rep.fmt == "kv":
-            rep.lines.extend(r.kv_lines())
+        rep.say(str(r), n=r.n, tuples_checked=r.tuples,
+                max_defect=0 if r.holds else r.defect.to_str(r.format_var))
         rep.outcome(r.holds)
     elif what == "trace-bracket":
         pos, _ = _opts(rest, {}, 3, "rep trace-bracket needs: N a b")
@@ -252,8 +252,6 @@ def _cmd_gradient(args, rep):
         if "--family" not in opts:
             raise CommandError("gradient classify needs --family or --poly")
         family = opts["--family"]
-        if family not in FAMILIES:
-            raise CommandError(f"unknown family {family!r}; choose from {FAMILIES}")
         if family == "monomial":
             kwargs["gen"] = opts.get("--gen", "x1")
             kwargs["degree"] = opts.get("--degree", 1)
@@ -265,7 +263,7 @@ def _cmd_gradient(args, rep):
                 kwargs["coeffs"] = [parse_rational(x) for x in raw.split(",")]
             except ParseError as exc:
                 raise CommandError(f"{exc.reason} in --coeffs {raw}") from None
-        else:
+        elif family == "custom":
             raise CommandError("custom family needs --poly")
     report = classify(alg, family, **kwargs)
     for line in str(report).splitlines():
@@ -289,41 +287,49 @@ _SESSION_COMMANDS = {
 def run(session: SessionSpec, fmt: str = "plain") -> tuple:
     """Execute the commands of a parsed session; return (report text, code).
     A failing command's output is replaced by its ``error:`` line."""
-    out, error, code = _run(session, fmt)
+    out, error, code = _run(fmt, lambda rep: _session(session, rep))
     return out + error, code
 
 
 def run_text(text: str, fmt: str = "plain") -> tuple:
     """Parse and run a session given as text; return (report text, exit code)."""
-    out, error, code = _run(text, fmt)
+    out, error, code = _run(fmt, lambda rep: _session(text, rep))
     return out + error, code
 
 
-def _run(session, fmt: str) -> tuple:
-    """(the output of the commands that completed, the ``error:`` line of
-    the one that failed or "", exit code); text is parsed first."""
-    rep = Reporter(fmt)
-    done = 0
-    try:
-        if isinstance(session, str):
-            session = parse_session(session)
-        for cmd in session.commands:
-            name, args = cmd[0], list(cmd[1:])
-            rep.say(f"$ {' '.join(cmd)}", command=" ".join(cmd))
+def _session(session, rep: Reporter):
+    """Run the commands of a session, parsing it first if it is text; a
+    command error names the session position of the command."""
+    if isinstance(session, str):
+        session = parse_session(session)
+    for cmd in session.commands:
+        name = cmd[0]
+        rep.say(f"$ {' '.join(cmd)}", command=" ".join(cmd))
+        try:
             if name not in _SESSION_COMMANDS:
                 raise CommandError(f"unknown command {name!r}")
-            _SESSION_COMMANDS[name](session, args, rep)
-            done = len(rep.lines)
+            _SESSION_COMMANDS[name](session, list(cmd[1:]), rep)
+        except CommandError as exc:
+            raise ParseError(str(exc), *getattr(name, "at", ())) from None
+        rep.done = len(rep.lines)
+
+
+def _run(fmt: str, body) -> tuple:
+    """Run ``body(reporter)`` behind the CLI boundary; return (the output it
+    kept, the ``error:`` line if it failed or "", exit code)."""
+    rep = Reporter(fmt)
+    try:
+        body(rep)
     except Exception as exc:  # the CLI boundary: never exit 1 on a crash
         message, code = _failure(exc)
-        del rep.lines[done:]
+        del rep.lines[rep.done:]
         return rep.text(), message + "\n", code
     return rep.text(), "", (FAIL if rep.failed else OK)
 
 
 def _failure(exc: Exception) -> tuple:
     """The ``error:`` line and exit code for an exception at the CLI."""
-    if isinstance(exc, (ParseError, CommandError, ValueError, OSError)):
+    if isinstance(exc, (ValueError, OSError)):  # ParseError, CommandError too
         return f"error: {exc}", USAGE
     return f"error: internal failure ({type(exc).__name__}): {exc}", INTERNAL
 
@@ -345,28 +351,14 @@ def main(argv=None) -> int:
     p_grad.add_argument("args", nargs=argparse.REMAINDER)
 
     ns = parser.parse_args(argv)
-    if ns.command == "run":
-        try:
-            text = _read(ns.session)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
-        out, error, code = _run(text, ns.format)
-        sys.stdout.write(out)
-        sys.stderr.write(error)
-        return code
-    rep = Reporter(ns.format)
-    try:
-        if ns.command == "ybe":
-            _cmd_ybe(ns.args, rep)
-        else:
-            _cmd_gradient(ns.args, rep)
-    except Exception as exc:  # the CLI boundary: never exit 1 on a crash
-        message, code = _failure(exc)
-        print(message, file=sys.stderr)
-        return code
-    sys.stdout.write(rep.text())
-    return FAIL if rep.failed else OK
+    out, error, code = _run(ns.format, {
+        "run": lambda rep: _session(_read(ns.session), rep),
+        "ybe": lambda rep: _cmd_ybe(ns.args, rep),
+        "gradient": lambda rep: _cmd_gradient(ns.args, rep),
+    }[ns.command])
+    sys.stdout.write(out)
+    sys.stderr.write(error)
+    return code
 
 
 if __name__ == "__main__":

@@ -94,6 +94,11 @@ class DoubleBracket:
     def entry(self, g, h) -> Tensor2:
         return self.gen_table[(self.alg.gen_index(g), self.alg.gen_index(h))]
 
+    def __eq__(self, other):
+        return (isinstance(other, DoubleBracket)
+                and self.bimodule == other.bimodule
+                and self.gen_table == other.gen_table)
+
     def __repr__(self):
         names = self.alg.names
         body = "; ".join(

@@ -89,9 +89,9 @@ def tokenize_lazily(text: str):
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit would take other scripts' digits
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             yield Token("NUMBER", text[i:j], line, col, i)
             col += j - i
@@ -111,27 +111,23 @@ def tokenize_lazily(text: str):
     yield Token("EOF", "", line, col, n)
 
 
-def tokenize(text: str) -> list:
-    return list(tokenize_lazily(text))
-
-
 class _Cursor:
-    def __init__(self, tokens):
-        if isinstance(tokens, list):
-            tokens = iter(tokens)
-        self._source = tokens
-        self._buffer = []
+    """The tokens of ``text``, read lazily through a one-token lookahead."""
+
+    def __init__(self, text: str):
+        self._source = tokenize_lazily(text)
+        self._ahead = None
         self.depth = 0  # open parentheses
 
     def peek(self) -> Token:
-        if not self._buffer:
-            self._buffer.append(next(self._source))
-        return self._buffer[0]
+        if self._ahead is None:
+            self._ahead = next(self._source)
+        return self._ahead
 
     def next(self) -> Token:
         t = self.peek()
         if t.kind != "EOF":
-            self._buffer.pop(0)
+            self._ahead = None
         return t
 
     def accept(self, kind) -> Optional[Token]:
@@ -156,13 +152,25 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 def _parse_rational(cur: _Cursor) -> Fraction:
+    """``[-]p[/q]``; in a polynomial the sum reads the sign, not the atom."""
+    sign = -1 if cur.accept("-") else 1
     num = cur.expect("NUMBER")
     if cur.accept("/"):
         den = cur.expect("NUMBER")
         if int(den.value) == 0:
             raise ParseError("zero denominator", den.line, den.col)
-        return Fraction(int(num.value), int(den.value))
-    return Fraction(int(num.value))
+        return Fraction(sign * int(num.value), int(den.value))
+    return Fraction(sign * int(num.value))
+
+
+def _gen_index(cur: _Cursor, alg: FreeAlgebra) -> int:
+    """The index of the generator that the next token names."""
+    t = cur.expect("NAME")
+    try:
+        return alg.gen_index(t.value)
+    except ValueError:
+        raise ParseError(f"undeclared generator {t.value!r}",
+                         t.line, t.col) from None
 
 
 def _parse_atom(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
@@ -170,12 +178,7 @@ def _parse_atom(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
     if t.kind == "NUMBER":
         return alg.one().scale(_parse_rational(cur))
     if t.kind == "NAME":
-        cur.next()
-        try:
-            return alg.gen(t.value)
-        except ValueError:
-            raise ParseError(f"undeclared generator {t.value!r}",
-                             t.line, t.col) from None
+        return alg.gen(_gen_index(cur, alg))
     if t.kind == "(":
         if cur.depth == _MAX_NESTING:
             cur.fail(f"parentheses nested more than {_MAX_NESTING} deep")
@@ -203,59 +206,57 @@ def _parse_term(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
     return p
 
 
-def _parse_poly_expr(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
+def _parse_sum(cur: _Cursor, summand):
+    """``[-] s {(+|-) s}`` where ``summand(cur)`` reads each s."""
     sign = -1 if cur.accept("-") else 1
-    p = _parse_term(cur, alg).scale(sign)
+    total = summand(cur).scale(sign)
     while True:
         if cur.accept("+"):
-            p = p + _parse_term(cur, alg)
+            total = total + summand(cur)
         elif cur.accept("-"):
-            p = p - _parse_term(cur, alg)
+            total = total - summand(cur)
         else:
-            return p
+            return total
+
+
+def _parse_poly_expr(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
+    return _parse_sum(cur, lambda cur: _parse_term(cur, alg))
+
+
+def _parse_tensor_term(cur: _Cursor, alg: FreeAlgebra) -> Tensor2:
+    left = _parse_term(cur, alg)
+    if cur.accept("TENSOR"):
+        return alg.t2(left, _parse_term(cur, alg))
+    # a plain polynomial term stands for itself tensored with 1, which only
+    # makes sense when it is 0 (the empty tensor)
+    if not left.is_zero():
+        cur.fail("expected the tensor separator '(x)'")
+    return alg.zero2()
 
 
 def _parse_tensor_expr(cur: _Cursor, alg: FreeAlgebra) -> Tensor2:
-    out = alg.zero2()
-    sign = -1 if cur.accept("-") else 1
-    while True:
-        left = _parse_term(cur, alg)
-        if cur.accept("TENSOR"):
-            right = _parse_term(cur, alg)
-            out = out + alg.t2(left, right).scale(sign)
-        else:
-            # a plain polynomial term stands for itself tensored with 1,
-            # which only makes sense when it is 0 (the empty tensor)
-            if not left.is_zero():
-                cur.fail("expected the tensor separator '(x)'")
-        if cur.accept("+"):
-            sign = 1
-        elif cur.accept("-"):
-            sign = -1
-        else:
-            return out
+    return _parse_sum(cur, lambda cur: _parse_tensor_term(cur, alg))
 
 
-def parse_poly(alg: FreeAlgebra, text: str) -> NCPoly:
-    cur = _Cursor(tokenize(text))
-    p = _parse_poly_expr(cur, alg)
-    cur.expect("EOF")
-    return p
-
-
-def parse_rational(text: str) -> Fraction:
-    """A rational number of the grammar, ``[-]p[/q]``."""
-    cur = _Cursor(tokenize(text))
-    value = (-1 if cur.accept("-") else 1) * _parse_rational(cur)
+def _parse_all(text: str, parse):
+    """``parse(cursor)`` over the whole of ``text``."""
+    cur = _Cursor(text)
+    value = parse(cur)
     cur.expect("EOF")
     return value
 
 
+def parse_poly(alg: FreeAlgebra, text: str) -> NCPoly:
+    return _parse_all(text, lambda cur: _parse_poly_expr(cur, alg))
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational number of the grammar, ``[-]p[/q]``."""
+    return _parse_all(text, _parse_rational)
+
+
 def parse_tensor2(alg: FreeAlgebra, text: str) -> Tensor2:
-    cur = _Cursor(tokenize(text))
-    t = _parse_tensor_expr(cur, alg)
-    cur.expect("EOF")
-    return t
+    return _parse_all(text, lambda cur: _parse_tensor_expr(cur, alg))
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +269,6 @@ class SessionSpec:
     bimodule: Optional[Bimodule]
     bracket: Optional[DoubleBracket]
     commands: list = field(default_factory=list)  # list of token tuples
-
-    def __eq__(self, other):
-        return (isinstance(other, SessionSpec)
-                and self.algebra == other.algebra
-                and self.bimodule == other.bimodule
-                and _same_bracket(self.bracket, other.bracket)
-                and self.commands == other.commands)
-
-
-def _same_bracket(a, b):
-    if a is None or b is None:
-        return a is b
-    return a.bimodule == b.bimodule and a.gen_table == b.gen_table
 
 
 class _Arg(str):
@@ -307,12 +295,7 @@ def _split_command(text: str, line: int, col: int) -> tuple:
 def _parse_endo_map(cur: _Cursor, alg: FreeAlgebra) -> dict:
     images = {}
     while True:
-        name = cur.expect("NAME")
-        try:
-            idx = alg.gen_index(name.value)
-        except ValueError:
-            raise ParseError(f"undeclared generator {name.value!r}",
-                             name.line, name.col) from None
+        idx = _gen_index(cur, alg)
         cur.expect("->")
         images[idx] = _parse_poly_expr(cur, alg)
         if not cur.accept(","):
@@ -356,34 +339,30 @@ def _parse_bimodule_block(cur: _Cursor, alg: FreeAlgebra) -> Bimodule:
 
 def _parse_bracket_block(cur: _Cursor, alg: FreeAlgebra,
                          bimodule: Bimodule) -> DoubleBracket:
-    cur.expect("{")
+    block = cur.expect("{")
     entries = {}
     while not cur.accept("}"):
         open_tok = cur.expect("<")
-        g1 = cur.expect("NAME")
+        i = _gen_index(cur, alg)
         cur.expect(",")
-        g2 = cur.expect("NAME")
+        key = (i, _gen_index(cur, alg))
         cur.expect(">")
         cur.expect("=")
         value = _parse_tensor_expr(cur, alg)
-        try:
-            key = (alg.gen_index(g1.value), alg.gen_index(g2.value))
-        except ValueError as exc:
-            raise ParseError(str(exc), g1.line, g1.col) from None
         if key in entries:
-            raise ParseError(
-                f"duplicate bracket entry <{g1.value},{g2.value}>",
-                open_tok.line, open_tok.col)
+            g1, g2 = (alg.names[g] for g in key)
+            raise ParseError(f"duplicate bracket entry <{g1},{g2}>",
+                             open_tok.line, open_tok.col)
         entries[key] = value
         cur.accept(";")
     try:
         return DoubleBracket.from_pairs(bimodule, entries)
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(str(exc), block.line, block.col) from None
 
 
 def parse_session(text: str) -> SessionSpec:
-    cur = _Cursor(tokenize_lazily(text))
+    cur = _Cursor(text)
 
     tok = cur.peek()
     if not (tok.kind == "NAME" and tok.value == "algebra"):
@@ -427,11 +406,11 @@ def parse_session(text: str) -> SessionSpec:
         body = line.strip()
         if not body:
             continue
+        at = (rest.line + k, (1 if k else rest.col) + line.index(body))
         try:
-            commands.append(_split_command(
-                body, rest.line + k, (1 if k else rest.col) + line.index(body)))
+            commands.append(_split_command(body, *at))
         except ValueError as exc:
-            raise ParseError(f"bad command line {raw!r}: {exc}") from None
+            raise ParseError(f"bad command line {raw!r}: {exc}", *at) from None
     return SessionSpec(alg, bimodule, bracket, commands)
 
 

@@ -236,14 +236,6 @@ class RepJacobiReport:
         return (f"Jacobi identity FAILS at ({v1}, {v2}, {v3}) "
                 f"with defect {self.defect.to_str(self.format_var)}")
 
-    def kv_lines(self):
-        lines = [f"n={self.n}", f"tuples_checked={self.tuples}"]
-        if self.holds:
-            lines.append("max_defect=0")
-        else:
-            lines.append("max_defect=" + self.defect.to_str(self.format_var))
-        return lines
-
 
 def jacobi_sweep(ps: PoissonStructure) -> RepJacobiReport:
     """Check the Jacobi identity on every generator-entry triple.

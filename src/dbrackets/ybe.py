@@ -21,6 +21,7 @@ from fractions import Fraction
 from .bimodule import BimodKind
 from .commpoly import CPoly
 from .freealg import FreeAlgebra, LinComb, _q, _tadd
+from .parsing import ParseError, parse_rational
 from .repspace import PoissonStructure, RepJacobiReport, jacobi_sweep
 
 
@@ -219,16 +220,16 @@ def parse_mat_tensor2(text: str, N: int | None = None) -> MatTensor2:
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 'i j k l coeff', got {raw!r}")
+        if not all(p.isascii() and p.isdigit() and int(p) for p in parts[:4]):
+            raise ValueError(f"line {lineno}: indices are positive integers "
+                             f"in digits 0-9, got {raw!r}")
         try:
-            i, j, k, l = (int(p) for p in parts[:4])
-            c = Fraction(parts[4])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        except ZeroDivisionError:
-            raise ValueError(f"line {lineno}: zero denominator") from None
-        key = (i, j, k, l)
+            c = parse_rational(parts[4])
+        except ParseError as exc:
+            raise ValueError(f"line {lineno}: {exc.reason}") from None
+        key = tuple(map(int, parts[:4]))
         terms[key] = terms.get(key, 0) + c
-        max_idx = max(max_idx, i, j, k, l)
+        max_idx = max(max_idx, *key)
     if N is None:
         N = max(max_idx, 1)
     return MatTensor2(N, terms)

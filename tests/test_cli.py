@@ -87,7 +87,7 @@ def test_parse_session_rejects_bad_diagonal():
 def test_parse_session_rejects_conflicting_pair():
     text = ("algebra { gens: x, y }\n"
             "bracket { <x,y> = 1 (x) 1 ; <y,x> = 1 (x) 1 }\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^line 2, column 9: <y,x> would"):
         parse_session(text)
 
 
@@ -214,6 +214,7 @@ def test_gradient_classify_rejects_zero_denominators(capsys):
     ("1,1e400,2,3", "expected 'EOF', found 'e400'"),
     ("1,,2,3", "expected 'NUMBER', found ''"),
     ("1,2/-3,2,3", "expected 'NUMBER', found '-'"),
+    ("1,\u0661,2,3", "unexpected character '\u0661'"),
 ])
 def test_gradient_classify_coeffs_take_only_grammar_rationals(
         capsys, coeffs, message):
@@ -247,6 +248,43 @@ def test_run_writes_its_error_line_to_stderr(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: line 2") and \
         captured.err.count("\n") == 1
+
+
+def test_run_of_a_missing_file_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.session")
+    assert main(["run", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+@pytest.mark.parametrize("line", [
+    "bimodule { kind: outer ; alpha: x -> y, z -> x }",
+    "bracket { <x,x> = x (x) z }",
+    "bracket { <z,x> = 0 }",
+    "bracket { <x,z> = 0 }",
+    "bracket { <x,y> = 1 (x) 1 ; <y,z> = x (x) 1 }",
+])
+def test_undeclared_generators_are_named_where_they_stand(line):
+    assert run_text(f"algebra {{ gens: x, y }}\n{line}\n") == (
+        f"error: line 2, column {line.index('z') + 1}: "
+        "undeclared generator 'z'\n", 2)
+
+
+@pytest.mark.parametrize("command, column, message", [
+    ("frob x", 1, "unknown command 'frob'"),
+    ("  rep induce", 3, "rep induce needs the matrix size"),
+    ("check antisym --depth 2", 1, "unknown option --depth"),
+    ("gradient classify --family linear --coeffs 1,1/0,2,3", 1,
+     "zero denominator in --coeffs 1,1/0,2,3"),
+    ("  jacobiator x y 'z", 3,
+     "bad command line \"  jacobiator x y 'z\": No closing quotation"),
+])
+def test_session_command_errors_name_their_position(command, column, message):
+    out, code = run_text(VDB_SESSION + command + "\n")
+    assert code == 2
+    assert out.splitlines()[-1] == f"error: line 5, column {column}: {message}"
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

@@ -109,6 +109,23 @@ def test_one_antisymmetry_rule_for_every_entry():
     assert raw.entry("y", "x").is_zero()
 
 
+def test_bracket_equality_is_bimodule_and_table():
+    A = two_gen()
+    x, y = xy(A)
+    d = A.t2(x, y) + A.unit2()
+    outer = Bimodule("outer", alg=A)
+    db = DoubleBracket.from_pairs(outer, {("x", "y"): d})
+    assert db == DoubleBracket.from_pairs(outer, {("y", "x"): -d.swap()})
+    swap = AlgEndo(A, {"x": y, "y": x})
+    for other in (DoubleBracket.from_pairs(Bimodule("right", alg=A),
+                                           {("x", "y"): d}),
+                  DoubleBracket.from_pairs(Bimodule("outer", swap, swap),
+                                           {("x", "y"): d}),
+                  DoubleBracket.from_pairs(outer, {("x", "y"): d.scale(2)}),
+                  d):
+        assert db != other
+
+
 # -- the Leibniz evaluator against the letter-pair reference ------------------
 
 def _evaluator_corpus(A):

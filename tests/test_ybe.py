@@ -18,6 +18,7 @@ import pytest
 from dbrackets import (CPoly, MatTensor2, casimir, check_entry_jacobi,
                        cybe_defect, entry_bracket, format_mat_tensor2,
                        parse_mat_tensor2, standard_r)
+from dbrackets.cli import main
 
 
 def textbook_cybe_defect(r):
@@ -153,6 +154,30 @@ def test_sparse_text_roundtrip():
         parse_mat_tensor2("1 2 3\n")
     with pytest.raises(ValueError, match="line 2: zero denominator"):
         parse_mat_tensor2("1 1 1 1 1\n1 2 2 1 1/0\n")
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1e3", "1_0"])
+@pytest.mark.parametrize("field", [3, 4])
+def test_tensor_files_take_only_grammar_numbers(tmp_path, capsys, bad, field):
+    """Indices are digits 0-9 and the coefficient is a session rational,
+    [-]p[/q]; anything else is one usage error naming the file line."""
+    parts = ["1", "1", "1", "1", "1"]
+    parts[field] = bad
+    path = tmp_path / "r.txt"
+    path.write_text("1 1 1 1 -1/2\n" + " ".join(parts) + "\n")
+    assert main(["ybe", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_tensor_file_indices_are_positive_ascii_integers():
+    for index in ("+1", "\u0661", "0", "-1"):
+        with pytest.raises(ValueError, match="line 1: indices are positive"):
+            parse_mat_tensor2(f"1 1 1 {index} 1\n")
+    assert parse_mat_tensor2("1 1 01 1 -1/2\n") == \
+        MatTensor2(1, {(1, 1, 1, 1): Fraction(-1, 2)})
 
 
 def test_index_bounds_checked():
