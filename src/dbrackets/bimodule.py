@@ -87,22 +87,33 @@ class Bimodule:
 
 
 def act(m: Bimodule, a: NCPoly, d: Tensor2, b: NCPoly) -> Tensor2:
-    """Apply the two-sided action a . d . b of the bimodule m."""
+    """Apply the two-sided action a . d . b of the bimodule m.
+
+    Each pair of words u of A = alpha(a) and v of B = beta(b) places u and
+    v around every term of d.  That map of keys is one-to-one, so the copy
+    of d for one pair (u, v) is built without a merge; only when A or B
+    has several terms are the copies merged, where they may cancel.
+    """
     m.alg._check(a)
     m.alg._check(d)
     m.alg._check(b)
     pa = a if m.alpha.is_identity() else m.alpha(a)
     pb = b if m.beta.is_identity() else m.beta(b)
     a_slot, b_slot = m.kind.slots
-    data = {}
-    for (w1, w2), cd in d.terms.items():
-        for u, cu in pa.terms.items():
-            l1, l2 = (u + w1, w2) if a_slot == 0 else (w1, u + w2)
-            c = cd * cu
-            for v, cv in pb.terms.items():
-                _tadd(data, (l1 + v, l2) if b_slot == 0 else (l1, l2 + v),
-                      c * cv)
-    return Tensor2(m.alg, data)
+    data = None
+    for u, cu in pa.terms.items():
+        for v, cv in pb.terms.items():
+            pre, post = [(), ()], [(), ()]
+            pre[a_slot], post[b_slot] = u, v
+            (p1, p2), (s1, s2), c = pre, post, cu * cv
+            copy = {(p1 + w1 + s1, p2 + w2 + s2): cd * c
+                    for (w1, w2), cd in d.terms.items()}
+            if data is None:
+                data = copy
+            else:
+                for key, cd in copy.items():
+                    _tadd(data, key, cd)
+    return Tensor2(m.alg, data or {})
 
 
 def swap_bimodule(m: Bimodule) -> Bimodule:

@@ -21,8 +21,8 @@ from .dbracket import (check_antisymmetry, is_poisson, is_weak_poisson,
                        jacobiator)
 from .freealg import FreeAlgebra
 from .gradient import classify
-from .parsing import (ParseError, SessionSpec, parse_poly, parse_rational,
-                      parse_session)
+from .parsing import (ParseError, SessionSpec, parse_integer, parse_poly,
+                      parse_rational, parse_session)
 from .repspace import (entry_name, induce, jacobi_sweep, matrix_tensor_bracket,
                        trace_bracket)
 from .ybe import (check_entry_jacobi, cybe_defect, entry_bracket,
@@ -104,13 +104,13 @@ def _cmd_check(session, args, rep):
     what, rest = args[0], args[1:]
     no_positional = f"check {what} takes no positional arguments"
     if what == "antisym":
-        _, opts = _opts(rest, {"--degree": int}, 0, no_positional)
+        _, opts = _opts(rest, {"--degree": parse_integer}, 0, no_positional)
         r = check_antisymmetry(_need_bracket(session), opts.get("--degree", 3))
         rep.say(str(r), check="antisym", holds=str(r.holds).lower(),
                 pairs=r.pairs, degree=r.degree_bound)
         rep.outcome(r.holds)
     elif what == "swap-commuting":
-        _, opts = _opts(rest, {"--degree": int}, 0, no_positional)
+        _, opts = _opts(rest, {"--degree": parse_integer}, 0, no_positional)
         if session.bimodule is None:
             raise CommandError("this command needs a bimodule declaration")
         r = check_swap_commuting(session.bimodule, opts.get("--degree", 3))
@@ -118,12 +118,12 @@ def _cmd_check(session, args, rep):
                 cases=r.cases, trials=r.trials, degree=r.degree_bound)
         rep.outcome(r.holds)
     elif what == "poisson":
-        _, opts = _opts(rest, {"--degree": int}, 0, no_positional)
+        _, opts = _opts(rest, {"--degree": parse_integer}, 0, no_positional)
         v = is_poisson(_need_bracket(session), opts.get("--degree", 4))
         rep.say(str(v), check="poisson", verdict=str(v))
         rep.outcome(v.holds())
     elif what == "weak-poisson":
-        _, opts = _opts(rest, {"--degree": int, "--sigma": str,
+        _, opts = _opts(rest, {"--degree": parse_integer, "--sigma": str,
                                "--sigma-prime": str}, 0, no_positional)
         if "--sigma" not in opts:
             raise CommandError("check weak-poisson needs --sigma")
@@ -151,7 +151,7 @@ def _cmd_rep(session, args, rep):
     what, rest = args[0], args[1:]
     if what == "induce":
         pos, _ = _opts(rest, {}, 1, "rep induce needs the matrix size")
-        n = int(pos[0])
+        n = parse_integer(pos[0])
         ps = induce(_need_bracket(session), n)
         rep.say(f"induced structure, kind {ps.kind}, n={n}", kind=str(ps.kind), n=n)
         for (v, w), p in sorted(ps.table.items()):
@@ -160,13 +160,13 @@ def _cmd_rep(session, args, rep):
                     **{f"br.{entry_name(ps.alg, v)}.{entry_name(ps.alg, w)}": body})
     elif what == "jacobi":
         pos, _ = _opts(rest, {}, 1, "rep jacobi needs the matrix size")
-        r = jacobi_sweep(induce(_need_bracket(session), int(pos[0])))
+        r = jacobi_sweep(induce(_need_bracket(session), parse_integer(pos[0])))
         rep.say(str(r), n=r.n, tuples_checked=r.tuples,
                 max_defect=0 if r.holds else r.defect.to_str(r.format_var))
         rep.outcome(r.holds)
     elif what == "trace-bracket":
         pos, _ = _opts(rest, {}, 3, "rep trace-bracket needs: N a b")
-        n = int(pos[0])
+        n = parse_integer(pos[0])
         a, b = _parse_args_polys(session, pos[1:], 2)
         ps = induce(_need_bracket(session), n)
         value = trace_bracket(ps, a, b)
@@ -176,7 +176,7 @@ def _cmd_rep(session, args, rep):
         pos, opts = _opts(rest, {"--convention": str}, 3,
                           "rep tensor needs: N a b")
         convention = opts.get("--convention", "tensor")
-        n = int(pos[0])
+        n = parse_integer(pos[0])
         a, b = _parse_args_polys(session, pos[1:], 2)
         ps = induce(_need_bracket(session), n)
         grid = matrix_tensor_bracket(ps, convention, a, b)
@@ -204,7 +204,7 @@ def _cmd_ybe(args, rep):
     what, rest = args[0], args[1:]
     if what == "standard":
         pos, _ = _opts(rest, {}, 1, "ybe standard needs N")
-        text = format_mat_tensor2(standard_r(int(pos[0])))
+        text = format_mat_tensor2(standard_r(parse_integer(pos[0])))
         for line in text.splitlines():
             rep.say(line, term=line)
     elif what == "check":
@@ -216,7 +216,8 @@ def _cmd_ybe(args, rep):
         rep.outcome(ok)
     elif what == "entry-jacobi":
         standard = "--standard" in rest
-        pos, opts = _opts(rest, {"--standard": int}, 0 if standard else 1,
+        pos, opts = _opts(rest, {"--standard": parse_integer},
+                          0 if standard else 1,
                           "give either a file or --standard N" if standard else
                           "ybe entry-jacobi needs a tensor file or --standard N")
         r = (standard_r(opts["--standard"]) if standard
@@ -237,8 +238,9 @@ def _cmd_gradient(args, rep):
     if not args or args[0] != "classify":
         raise CommandError("gradient supports: classify")
     # --poly is kept as given, so that a session argument keeps its position
-    _, opts = _opts(args[1:], {"--family": str, "--gen": str, "--degree": int,
-                               "--coeffs": str, "--poly": lambda a: a}, 0,
+    _, opts = _opts(args[1:], {"--family": str, "--gen": str,
+                               "--degree": parse_integer, "--coeffs": str,
+                               "--poly": lambda a: a}, 0,
                     "gradient classify takes no positional arguments")
     alg = FreeAlgebra(["x1", "x2", "x3"])
     kwargs = {}

@@ -333,6 +333,12 @@ def _gen_triples(alg):
     return itertools.product(range(alg.ngens), repeat=3)
 
 
+def _rotation_firsts(triples):
+    """The triples (i, j, k) that come first among their rotations in
+    product order: (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j)."""
+    return (t for t in triples if t <= t[1:] + t[:1] and t <= t[2:] + t[:2])
+
+
 def _word_triples(alg, degree_bound):
     """Yield the nonempty word triples (u, v, w), each factor of length at
     most degree_bound, in the sweep order.
@@ -361,6 +367,11 @@ def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
     in each slot, so vanishing on generator triples decides the question
     exactly.  All other configurations sweep word triples up to the degree
     bound and report VerifiedUpToDegree unless a witness appears.
+
+    The exact sweep evaluates one triple per rotation class, the first in
+    product order: J(a,b,c) = P123 J(b,c,a) by the cyclic sum, so a
+    rotation of a failing triple fails too, and the first failing triple
+    of the full sweep is the first of its class.
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
@@ -368,18 +379,21 @@ def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
         return JacVerdict("Poisson")
     sound = (db.kind() in (BimodKind.OUTER, BimodKind.INNER)
              and db.bimodule.is_untwisted())
-    return _sweep(db, lambda u, v, w: _jac_words(db, u, v, w), sound,
+    return _sweep(db, lambda u, v, w: _jac_words(db, u, v, w),
+                  _rotation_firsts(_gen_triples(db.alg)) if sound else None,
                   degree_bound, JacVerdict("Poisson"))
 
 
-def _sweep(db, defect_of, sound: bool, degree_bound: int, holds: JacVerdict,
+def _sweep(db, defect_of, gen_triples, degree_bound: int, holds: JacVerdict,
            sigma=None, sigma_prime=None) -> JacVerdict:
     """The verdict of the first nonzero ``defect_of(u, v, w)``: over the
-    generator triples if ``sound`` (else ``holds``), otherwise over the
-    word triples up to the bound (else VerifiedUpToDegree)."""
+    generator index triples ``gen_triples`` if given (else ``holds``),
+    otherwise over the word triples up to the bound (else
+    VerifiedUpToDegree)."""
     alg = db.alg
+    sound = gen_triples is not None
     if sound:
-        triples = (((i,), (j,), (k,)) for i, j, k in _gen_triples(alg))
+        triples = (((i,), (j,), (k,)) for i, j, k in gen_triples)
     else:
         triples = _word_triples(alg, degree_bound)
     _, witness, defect = _first_failure(
@@ -422,9 +436,9 @@ def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
               and (s_name, sp_name) == ("12", "12"))
              or (db.kind() is BimodKind.LEFT and untwisted
                  and (s_name, sp_name) == ("12", "13")))
-    return _sweep(db, lambda u, v, w: _weak_words(db, s, sp, u, v, w), sound,
-                  degree_bound, JacVerdict("WeakPoisson", s_name, sp_name),
-                  s_name, sp_name)
+    return _sweep(db, lambda u, v, w: _weak_words(db, s, sp, u, v, w),
+                  _gen_triples(db.alg) if sound else None, degree_bound,
+                  JacVerdict("WeakPoisson", s_name, sp_name), s_name, sp_name)
 
 
 @dataclass

@@ -182,11 +182,12 @@ class LinComb:
         order = self._key_order
         return sorted(self.terms.items(), key=lambda item: order(item[0]))
 
-    def _format(self, render_key) -> str:
-        """The +/- printer; the empty key is the unit and prints as its
-        coefficient, any other key as ``coeff*render_key(key)``."""
+    def _format(self, render_key, terms=None) -> str:
+        """The +/- printer over ``terms`` (default ``sorted_terms()``); the
+        empty key is the unit and prints as its coefficient, any other key
+        as ``coeff*render_key(key)``."""
         parts = []
-        for key, coeff in self.sorted_terms():
+        for key, coeff in self.sorted_terms() if terms is None else terms:
             mag = -coeff if coeff < 0 else coeff
             if not key:
                 txt = str(mag)
@@ -347,6 +348,19 @@ class _OverAlgebra(LinComb):
     def _like(self, terms: dict):
         return type(self)(self.alg, terms)
 
+    def __str__(self):
+        """The tensor printer (keys are tuples of words; NCPoly has its
+        own): the distinct words are sorted by deg-lex and rendered once
+        each, and the terms are sorted by their tuples of word ranks, which
+        is the order of ``_tensor_order``."""
+        words = sorted({w for key in self.terms for w in key}, key=_deglex)
+        rank = {w: r for r, w in enumerate(words)}
+        text = {w: self.alg.format_word(w) for w in words}
+        terms = sorted(self.terms.items(),
+                       key=lambda item: tuple(map(rank.__getitem__, item[0])))
+        return self._format(
+            lambda key: " (x) ".join(map(text.__getitem__, key)), terms)
+
 
 # ---------------------------------------------------------------------------
 # elements of the algebra
@@ -415,10 +429,6 @@ class Tensor2(_OverAlgebra):
         """The swap automorphism of A (x) A, sending u (x) v to v (x) u."""
         return Tensor2(self.alg, {(v, u): c for (u, v), c in self.terms.items()})
 
-    def __str__(self):
-        fmt = self.alg.format_word
-        return self._format(lambda key: f"{fmt(key[0])} (x) {fmt(key[1])}")
-
 
 class Tensor3(_OverAlgebra):
     """Sparse element of A (x) A (x) A."""
@@ -430,11 +440,6 @@ class Tensor3(_OverAlgebra):
         if isinstance(other, Tensor3):
             return _slotwise_mul(self, other)
         return self.scale(other)
-
-    def __str__(self):
-        fmt = self.alg.format_word
-        return self._format(
-            lambda key: f"{fmt(key[0])} (x) {fmt(key[1])} (x) {fmt(key[2])}")
 
 
 def tensor2_alg_mul(d: Tensor2, e: Tensor2) -> Tensor2:

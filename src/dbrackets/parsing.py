@@ -151,16 +151,21 @@ class _Cursor:
 # expressions
 # ---------------------------------------------------------------------------
 
+def _parse_integer(cur: _Cursor) -> int:
+    """``[-]p``, p in the digits 0-9."""
+    sign = -1 if cur.accept("-") else 1
+    return sign * int(cur.expect("NUMBER").value)
+
+
 def _parse_rational(cur: _Cursor) -> Fraction:
     """``[-]p[/q]``; in a polynomial the sum reads the sign, not the atom."""
-    sign = -1 if cur.accept("-") else 1
-    num = cur.expect("NUMBER")
+    num = _parse_integer(cur)
     if cur.accept("/"):
         den = cur.expect("NUMBER")
         if int(den.value) == 0:
             raise ParseError("zero denominator", den.line, den.col)
-        return Fraction(sign * int(num.value), int(den.value))
-    return Fraction(sign * int(num.value))
+        return Fraction(num, int(den.value))
+    return Fraction(num)
 
 
 def _gen_index(cur: _Cursor, alg: FreeAlgebra) -> int:
@@ -253,6 +258,12 @@ def parse_poly(alg: FreeAlgebra, text: str) -> NCPoly:
 def parse_rational(text: str) -> Fraction:
     """A rational number of the grammar, ``[-]p[/q]``."""
     return _parse_all(text, _parse_rational)
+
+
+def parse_integer(text: str) -> int:
+    """An integer of the grammar, ``[-]p``: no '+', no digit separator and
+    no other script's digits."""
+    return _parse_all(text, _parse_integer)
 
 
 def parse_tensor2(alg: FreeAlgebra, text: str) -> Tensor2:

@@ -56,6 +56,20 @@ def test_slot_pair_action_equals_the_per_kind_formulas(kind):
               Bimodule(kind, alpha, beta)):
         for a, d, b in itertools.product(ring, tensors, ring):
             assert act(m, a, d, b) == _branchy_act(m, a, d, b)
+    # x -> x - 1 shifts copies of d onto each other: with d = 1 (x) 1 +
+    # x (x) 1 + 1 (x) x, the words u = x and u = () of x - 1 both reach x
+    # in the slot they multiply, with opposite signs
+    shift = AlgEndo(A, {"x": x - A.one(), "y": y})
+    d = A.unit2() + A.t2(x, A.one()) + A.t2(A.one(), x)
+    for m in (Bimodule(kind, shift, shift),
+              Bimodule(kind, shift, AlgEndo.identity(A)),
+              Bimodule(kind, AlgEndo.identity(A), shift)):
+        for a, b in itertools.product([A.one(), x, x * y + y], repeat=2):
+            out = act(m, a, d, b)
+            assert out == _branchy_act(m, a, d, b)
+            assert all(out.terms.values())
+    out = act(Bimodule(kind, shift, AlgEndo.identity(A)), x, d, A.one())
+    assert len(out.terms) < 2 * len(d.terms)  # two copies of d, merged
 
 
 def test_kind_slot_pairs():

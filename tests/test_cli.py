@@ -453,3 +453,57 @@ def test_session_positions_with_other_line_endings(newline):
     lines = ["algebra { gens: x, y }", "bracket { <x,y> = 1 (x) 1 }",
              "check antisym", "# note", "jacobiator x y y"]
     assert session(*lines) == run_text("\n".join(lines) + "\n")
+
+
+# -- integer arguments: the grammar's [-]p --------------------------------------
+
+_BAD_INTEGERS = [("+3", "expected 'NUMBER', found '+'", 0),
+                 ("1_0", "expected 'EOF', found '_0'", 1),
+                 ("٢", "unexpected character '٢'", 0),
+                 ("abc", "expected 'NUMBER', found 'abc'", 0)]
+
+
+@pytest.mark.parametrize("text, message, offset", _BAD_INTEGERS)
+@pytest.mark.parametrize("argv", [
+    ["ybe", "standard", "{}"],
+    ["ybe", "entry-jacobi", "--standard", "{}"],
+    ["gradient", "classify", "--family", "sum-power", "--degree", "{}"],
+])
+def test_cli_integer_arguments_take_only_grammar_integers(
+        capsys, argv, text, message, offset):
+    code = main([a.format(text) for a in argv])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 1, column {1 + offset}: {message}\n"
+
+
+@pytest.mark.parametrize("text, message, offset", _BAD_INTEGERS)
+@pytest.mark.parametrize("command", [
+    "check antisym --degree {}",
+    "check swap-commuting --degree {}",
+    "check poisson --degree {}",
+    "check weak-poisson --sigma 12 --degree {}",
+    "rep induce {}",
+    "rep jacobi {}",
+    "rep trace-bracket {} x y",
+    "rep tensor {} x y",
+    "ybe standard {}",
+    "gradient classify --family sum-power --degree {}",
+])
+def test_session_integer_arguments_take_only_grammar_integers(
+        command, text, message, offset):
+    out, code = run_text(VDB_SESSION + command.format(text) + "\n")
+    assert code == 2
+    column = command.index("{}") + 1 + offset
+    assert out.splitlines() == [
+        "$ check poisson", "Poisson", "status: ok",
+        f"error: line 5, column {column}: {message}"]
+
+
+def test_integer_arguments_keep_their_values():
+    for command in ("ybe standard 2", "rep induce 2", "check antisym --degree 2"):
+        assert run_text(VDB_SESSION + command + "\n")[1] == 0
+    assert run_text(VDB_SESSION + "rep jacobi -1\n") == (
+        "$ check poisson\nPoisson\nstatus: ok\n"
+        "error: matrix size must be >= 1\n", 2)

@@ -1,13 +1,14 @@
 """Double brackets: Leibniz extension, Jacobiators, verdicts, reductions."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from dbrackets import (AlgEndo, Bimodule, BimodKind, CompositeAuto,
-                       DoubleBracket, FreeAlgebra, Necklace, SwapAuto, Tensor3,
-                       TwistPairAuto, apply_equivalence, bracket_left,
+                       DoubleBracket, FreeAlgebra, Necklace, SwapAuto, Tensor2,
+                       Tensor3, TwistPairAuto, apply_equivalence, bracket_left,
                        bracket_pair_left, bracket_pair_right, bracket_right,
                        bullet_bracket, check_antisymmetry, check_morphism,
                        eval_bracket, is_poisson, is_weak_poisson,
@@ -15,8 +16,9 @@ from dbrackets import (AlgEndo, Bimodule, BimodKind, CompositeAuto,
                        mult_bracket, necklace_project, swap_bimodule,
                        swap_equivalent, sym_jacobi_defect, tensor3_perm,
                        twisted_jacobiator, weak_jacobiator)
+from dbrackets import dbracket
 from dbrackets.bimodule import act
-from dbrackets.dbracket import _eval_words
+from dbrackets.dbracket import JacVerdict, _eval_words
 from dbrackets.freealg import P12, P123, P132
 
 from helpers import (bracket_corpus, letter_pair_eval, monomials,
@@ -382,6 +384,87 @@ def test_bounded_weak_verdict_embeds_degree():
     assert w.status == "NotPoisson"
     a, b, c = w.witness
     assert weak_jacobiator(right_const(A), "12", "23", a, b, c) == w.defect
+
+
+def _random_tensor(rng, alg):
+    coeffs = [1, -1, 2, Fraction(1, 2)]
+    return Tensor2(alg, {
+        tuple(tuple(rng.randrange(alg.ngens) for _ in range(rng.randint(0, 2)))
+              for _ in range(2)): rng.choice(coeffs)
+        for _ in range(rng.randint(1, 3))})
+
+
+def _random_tables(rng, kind, ngens, count):
+    """Untwisted brackets of one kind: linear ones from structure constants
+    (antisymmetric by construction), sparse antisymmetric ones, and raw
+    tables taken without the antisymmetry check."""
+    alg = FreeAlgebra([f"g{i}" for i in range(ngens)])
+    m, one, gens = Bimodule(kind, alg=alg), alg.one(), alg.gens()
+    for _ in range(count):
+        a = {ijk: rng.choice([0, 0, 1, -1])
+             for ijk in itertools.product(range(ngens), repeat=3)}
+        yield DoubleBracket(m, {(i, j): sum(
+            (alg.t2(gens[k], one).scale(a[i, j, k])
+             - alg.t2(one, gens[k]).scale(a[j, i, k]) for k in range(ngens)),
+            alg.zero2()) for i, j in itertools.product(range(ngens), repeat=2)})
+        entries = {}
+        for i, j in itertools.product(range(ngens), repeat=2):
+            if i <= j and rng.random() < 0.4:
+                t = _random_tensor(rng, alg)
+                entries[(i, j)] = t - t.swap() if i == j else t
+        yield DoubleBracket(m, entries)
+        yield DoubleBracket.from_full_table_unchecked(m, {
+            (i, j): _random_tensor(rng, alg)
+            for i, j in itertools.product(range(ngens), repeat=2)
+            if rng.random() < 0.4})
+
+
+def _full_sweep_poisson(db):
+    """The exact verdict of is_poisson as swept over all generator triples
+    in product order, before one triple per rotation class."""
+    for a, b, c in itertools.product(db.alg.gens(), repeat=3):
+        defect = jacobiator(db, a, b, c)
+        if not defect.is_zero():
+            return JacVerdict("NotPoisson", witness=(a, b, c), defect=defect)
+    return JacVerdict("Poisson")
+
+
+@pytest.mark.parametrize("kind", ["outer", "inner"])
+@pytest.mark.parametrize("ngens", [2, 3])
+def test_poisson_sweep_by_rotation_class_equals_the_full_sweep(kind, ngens):
+    rng = random.Random(ngens)
+    witnesses = set()
+    for db in _random_tables(rng, kind, ngens, 8):
+        for i, j, k in itertools.product(range(ngens), repeat=3):
+            assert dbracket._jac_words(db, (i,), (j,), (k,)) == tensor3_perm(
+                P123, dbracket._jac_words(db, (j,), (k,), (i,)))
+        verdict = is_poisson(db)
+        assert verdict == _full_sweep_poisson(db)
+        witnesses.add(verdict.witness)
+    assert len(witnesses) >= 4  # Poisson and failures at several triples
+
+
+def test_poisson_sweep_evaluates_one_triple_per_rotation_class(monkeypatch):
+    jac_words, weak_words, calls = dbracket._jac_words, dbracket._weak_words, []
+    monkeypatch.setattr(dbracket, "_jac_words", lambda db, u, v, w: (
+        calls.append((u, v, w)) or jac_words(db, u, v, w)))
+    for ngens, firsts in ((3, 11), (2, 4)):
+        alg = FreeAlgebra([f"g{i}" for i in range(ngens)])
+        for db in (outer_poisson(alg), swap_equivalent(outer_poisson(alg))):
+            calls.clear()
+            assert is_poisson(db).status == "Poisson"
+            assert len(calls) == firsts
+            assert calls == sorted(calls)
+            assert {min(t[r:] + t[:r] for r in range(3)) for t in calls} == \
+                set(calls)
+    # the weak sweep keeps every generator triple
+    weak_calls = []
+    monkeypatch.setattr(dbracket, "_weak_words", lambda db, *args: (
+        weak_calls.append(args) or weak_words(db, *args)))
+    alg = FreeAlgebra(["g0", "g1", "g2"])
+    db = DoubleBracket(Bimodule("right", alg=alg), {(0, 1): alg.unit2()})
+    assert is_weak_poisson(db, "12", "12").status == "WeakPoisson"
+    assert len(weak_calls) == 27
 
 
 def _eager_word_triples(alg, degree_bound):

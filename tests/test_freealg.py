@@ -1,6 +1,7 @@
 """Core arithmetic of the free algebra, tensors, endomorphisms, necklaces."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from dbrackets import (AlgEndo, FreeAlgebra, Necklace, apply_endo,
                        necklace_project, perm_compose, poly_mul,
                        tensor2_alg_mul, tensor3_perm,
                        word_reversal)
-from dbrackets.freealg import P12, P123, P132, P13, P23, P_ID, _first_failure
+from dbrackets.freealg import (P12, P123, P132, P13, P23, P_ID, Tensor2,
+                               Tensor3, _first_failure, _tensor_order)
 
 from helpers import two_gen, xy
 
@@ -165,6 +167,32 @@ def test_rendering_canonical():
     assert str(A.zero()) == "0"
     assert str(A.one() - A.one()) == "0"
     assert str(x.scale(Fraction(-3, 2))) == "-3/2*x"
+
+
+def _tensor_str_by_key_order(t):
+    """The tensor printer as written before words were ranked: the terms
+    sorted by ``_tensor_order``, every word rendered once per term."""
+    fmt = t.alg.format_word
+    terms = sorted(t.terms.items(), key=lambda item: _tensor_order(item[0]))
+    return t._format(lambda key: " (x) ".join(fmt(w) for w in key), terms)
+
+
+@pytest.mark.parametrize("ngens", [1, 2, 3])
+def test_tensor_printer_equals_the_key_order_printer(ngens):
+    A = FreeAlgebra(["x", "y", "z1"][:ngens])
+    rng = random.Random(ngens)
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+
+    def word():
+        return tuple(rng.randrange(ngens) for _ in range(rng.randint(0, 3)))
+
+    assert str(A.zero2()) == str(A.t3(A.zero(), A.one(), A.one())) == "0"
+    assert str(A.unit2()) == "1 (x) 1"
+    for cls, slots in ((Tensor2, 2), (Tensor3, 3)):
+        for _ in range(150):
+            t = cls(A, {tuple(word() for _ in range(slots)): rng.choice(coeffs)
+                        for _ in range(rng.randint(0, 12))})
+            assert str(t) == _tensor_str_by_key_order(t)
 
 
 def test_degree_and_homogeneous_parts():

@@ -8,6 +8,7 @@ review the diff.
 
 import contextlib
 import io
+import itertools
 from pathlib import Path
 
 import pytest
@@ -18,10 +19,20 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SESSIONS = ROOT / "demos" / "sessions"
 
+# -3/2 times the 12 arrangements of x1*x1*x2*x3: rational coefficients, the
+# unit word and a failing verdict with both a Tensor3 and a Tensor2 defect
+SYM_X1X1X2X3 = "-3/2*(" + " + ".join(
+    "*".join(w) for w in sorted(set(itertools.permutations(
+        ["x1", "x1", "x2", "x3"])))) + ")"
+
 # case -> (argv, exit code)
 CASES = {
     "gradient-sum-power-3": (
         ["gradient", "classify", "--family", "sum-power", "--degree", "3"], 0),
+    "gradient-custom-sym-x1x1x2x3": (
+        ["gradient", "classify", "--poly", SYM_X1X1X2X3], 1),
+    "gradient-custom-sym-x1x1x2x3-kv": (
+        ["--format", "kv", "gradient", "classify", "--poly", SYM_X1X1X2X3], 1),
     "ybe-entry-jacobi-standard-2": (
         ["ybe", "entry-jacobi", "--standard", "2"], 1),
 }
