@@ -20,9 +20,9 @@ from typing import Iterable, Optional
 from .bimodule import Bimodule, BimodKind, act, swap_bimodule
 from .commpoly import CPoly, poisson_biderivation
 from .freealg import (AlgEndo, NCPoly, Necklace, Tensor2, Tensor3, P12, P123,
-                      P132, _deglex, _first_failure, _nonzero, _tadd,
-                      apply_endo_tensor2, necklace_project, perm_invert, tensor3_perm,
-                      transposition)
+                      P132, TRANSPOSITIONS, _deglex, _first_failure, _nonzero,
+                      _tadd, apply_endo_tensor2, necklace_project, perm_invert,
+                      tensor3_perm, transposition)
 
 JAC_FORMS = ("left", "mixed", "right", "pair-right")
 
@@ -334,8 +334,10 @@ def _gen_triples(alg):
 
 
 def _rotation_firsts(triples):
-    """The triples (i, j, k) that come first among their rotations in
-    product order: (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j)."""
+    """The triples (a, b, c) that come first among their rotations in tuple
+    order, (a, b, c) <= (b, c, a) and (a, b, c) <= (c, a, b): the product
+    order of generator triples and the order of ``_word_triples`` within a
+    total degree."""
     return (t for t in triples if t <= t[1:] + t[:1] and t <= t[2:] + t[:2])
 
 
@@ -360,51 +362,29 @@ def _word_triples(alg, degree_bound):
                         yield u, v, w
 
 
+# The Jacobiator form that vanishes on all of A once it vanishes on
+# generator triples, per untwisted kind: it is a derivation in each slot
+# there.  None is the Jacobiator itself, a pair names the (sigma, sigma')
+# of a weak Jacobiator.
+_EXACT_FORM = {BimodKind.OUTER: None, BimodKind.INNER: None,
+               BimodKind.RIGHT: ("12", "12"), BimodKind.LEFT: ("12", "13")}
+
+_TRANSPOSITION_NAME = {p: name for name, p in TRANSPOSITIONS.items()}
+
+
 def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
     """Decide or bound-verify the vanishing of the double Jacobiator.
 
-    For the untwisted outer and inner kinds the Jacobiator is a derivation
-    in each slot, so vanishing on generator triples decides the question
-    exactly.  All other configurations sweep word triples up to the degree
-    bound and report VerifiedUpToDegree unless a witness appears.
+    Exact over generator triples where ``_EXACT_FORM`` names the Jacobiator
+    (the untwisted outer and inner kinds); elsewhere a sweep of word
+    triples up to the bound, VerifiedUpToDegree unless a witness appears.
 
-    The exact sweep evaluates one triple per rotation class, the first in
-    product order: J(a,b,c) = P123 J(b,c,a) by the cyclic sum, so a
-    rotation of a failing triple fails too, and the first failing triple
-    of the full sweep is the first of its class.
+    Both sweeps evaluate one triple per rotation class, the first in sweep
+    order: J(a,b,c) = P123 J(b,c,a) by the cyclic sum, so a rotation of a
+    failing triple fails too; rotations share a total degree, so the first
+    failing triple of the full sweep is the first of its class.
     """
-    if degree_bound < 1:
-        raise ValueError("degree_bound must be >= 1")
-    if db.is_zero():
-        return JacVerdict("Poisson")
-    sound = (db.kind() in (BimodKind.OUTER, BimodKind.INNER)
-             and db.bimodule.is_untwisted())
-    return _sweep(db, lambda u, v, w: _jac_words(db, u, v, w),
-                  _rotation_firsts(_gen_triples(db.alg)) if sound else None,
-                  degree_bound, JacVerdict("Poisson"))
-
-
-def _sweep(db, defect_of, gen_triples, degree_bound: int, holds: JacVerdict,
-           sigma=None, sigma_prime=None) -> JacVerdict:
-    """The verdict of the first nonzero ``defect_of(u, v, w)``: over the
-    generator index triples ``gen_triples`` if given (else ``holds``),
-    otherwise over the word triples up to the bound (else
-    VerifiedUpToDegree)."""
-    alg = db.alg
-    sound = gen_triples is not None
-    if sound:
-        triples = (((i,), (j,), (k,)) for i, j, k in gen_triples)
-    else:
-        triples = _word_triples(alg, degree_bound)
-    _, witness, defect = _first_failure(
-        triples, lambda triple: _nonzero(defect_of(*triple)))
-    if witness is not None:
-        return JacVerdict("NotPoisson", sigma, sigma_prime,
-                          tuple(_mono(alg, w) for w in witness), defect)
-    if sound:
-        return holds
-    return JacVerdict("VerifiedUpToDegree", sigma, sigma_prime,
-                      degree=degree_bound)
+    return _verdict(db, None, degree_bound)
 
 
 def _weak_words(db, s, sp, u, v, w) -> Tensor3:
@@ -417,28 +397,43 @@ def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
                     degree_bound: int = 4) -> JacVerdict:
     """Decide or bound-verify the vanishing of the weak double Jacobiator.
 
-    The generator-triple check is exact for precisely two configurations:
-    the untwisted right kind with both transpositions (12), and the
-    untwisted left kind with the pair ((12), (13)); in those cases the weak
-    Jacobiator is a derivation in each slot.  Everything else is a bounded
-    sweep.
+    Exact over generator triples where ``_EXACT_FORM`` names this pair:
+    untwisted right with ((12), (12)), untwisted left with ((12), (13)).
+    Elsewhere a sweep of every word triple up to the bound; no rotation
+    rule is proved for weak forms.
     """
+    return _verdict(db, (sigma, sigma_prime), degree_bound)
+
+
+def _verdict(db: DoubleBracket, pair, degree_bound: int) -> JacVerdict:
+    """The verdict of the first nonzero Jacobiator, or weak Jacobiator of
+    a pair of transpositions, in the sweep that ``_EXACT_FORM`` picks."""
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
-    s = transposition(sigma)
-    sp = transposition(sigma_prime)
-    s_name = "".join(str(i) for i in (1, 2, 3) if s[i - 1] != i)
-    sp_name = "".join(str(i) for i in (1, 2, 3) if sp[i - 1] != i)
+    form = None
+    if pair is not None:
+        s, sp = (transposition(t) for t in pair)
+        form = _TRANSPOSITION_NAME[s], _TRANSPOSITION_NAME[sp]
+    names = form or (None, None)
+    holds = JacVerdict("Poisson" if form is None else "WeakPoisson", *names)
     if db.is_zero():
-        return JacVerdict("WeakPoisson", s_name, sp_name)
-    untwisted = db.bimodule.is_untwisted()
-    sound = ((db.kind() is BimodKind.RIGHT and untwisted
-              and (s_name, sp_name) == ("12", "12"))
-             or (db.kind() is BimodKind.LEFT and untwisted
-                 and (s_name, sp_name) == ("12", "13")))
-    return _sweep(db, lambda u, v, w: _weak_words(db, s, sp, u, v, w),
-                  _gen_triples(db.alg) if sound else None, degree_bound,
-                  JacVerdict("WeakPoisson", s_name, sp_name), s_name, sp_name)
+        return holds
+    alg = db.alg
+    exact = db.bimodule.is_untwisted() and _EXACT_FORM[db.kind()] == form
+    triples = ((((i,), (j,), (k,)) for i, j, k in _gen_triples(alg)) if exact
+               else _word_triples(alg, degree_bound))
+    if form is None:
+        triples = _rotation_firsts(triples)
+    defect_of = ((lambda t: _jac_words(db, *t)) if form is None
+                 else (lambda t: _weak_words(db, s, sp, *t)))
+    _, witness, defect = _first_failure(
+        triples, lambda t: _nonzero(defect_of(t)))
+    if witness is not None:
+        return JacVerdict("NotPoisson", *names,
+                          tuple(_mono(alg, w) for w in witness), defect)
+    if exact:
+        return holds
+    return JacVerdict("VerifiedUpToDegree", *names, degree=degree_bound)
 
 
 @dataclass

@@ -486,7 +486,7 @@ class AlgEndo:
     of double brackets may connect two different algebras.
     """
 
-    __slots__ = ("domain", "codomain", "images", "_memo")
+    __slots__ = ("domain", "codomain", "images", "_memo", "_identity")
 
     def __init__(self, domain: FreeAlgebra, images: Mapping,
                  codomain: FreeAlgebra | None = None):
@@ -503,16 +503,17 @@ class AlgEndo:
                     f"no image given for generator {domain.names[i]!r}")
         self.images = imgs
         self._memo = {(): self.codomain.one()}
+        # the images are fixed from here on, so this is decided once
+        self._identity = (domain.names == self.codomain.names
+                          and all(imgs[i] == domain.gen(i)
+                                  for i in range(domain.ngens)))
 
     @classmethod
     def identity(cls, alg: FreeAlgebra) -> "AlgEndo":
         return cls(alg, {i: alg.gen(i) for i in range(alg.ngens)})
 
     def is_identity(self) -> bool:
-        if self.domain.names != self.codomain.names:
-            return False
-        return all(self.images[i] == self.domain.gen(i)
-                   for i in range(self.domain.ngens))
+        return self._identity
 
     def apply_word(self, w: Word) -> NCPoly:
         """The image of a word, memoised per endomorphism."""

@@ -52,26 +52,24 @@ def double_derivation(j, p: NCPoly) -> Tensor2:
 def is_fully_noncommutative(f: NCPoly) -> bool:
     """Are the coefficients constant on permutation orbits of index tuples?
 
-    Checked degree by degree: the words sharing a letter multiset must all
-    be present with one common coefficient.  Runs in polynomial time,
-    unlike a scan over the symmetric group.
+    The words sharing a letter multiset (their sorted word, which fixes
+    the degree too) must all be present with one common coefficient.  Runs
+    in polynomial time, unlike a scan over the symmetric group.
     """
-    for d in range(f.degree() + 1):
-        part = f.homogeneous_part(d)
-        groups = {}
-        for w, c in part.terms.items():
-            groups.setdefault(tuple(sorted(w)), []).append(c)
-        for key, coeffs in groups.items():
-            if len(set(coeffs)) != 1:
-                return False
-            counts = {}
-            for letter in key:
-                counts[letter] = counts.get(letter, 0) + 1
-            orbit = math.factorial(len(key))
-            for m in counts.values():
-                orbit //= math.factorial(m)
-            if len(coeffs) != orbit:
-                return False
+    groups = {}
+    for w, c in f.terms.items():
+        groups.setdefault(tuple(sorted(w)), []).append(c)
+    for key, coeffs in groups.items():
+        if len(set(coeffs)) != 1:
+            return False
+        counts = {}
+        for letter in key:
+            counts[letter] = counts.get(letter, 0) + 1
+        orbit = math.factorial(len(key))
+        for m in counts.values():
+            orbit //= math.factorial(m)
+        if len(coeffs) != orbit:
+            return False
     return True
 
 

@@ -134,23 +134,25 @@ class PoissonStructure:
 
     Determined by its values on pairs of generator-entry variables; the
     extension to arbitrary polynomials follows the (twisted) biderivation
-    rules.  ``twist`` is None for the untwisted case, else the algebra
-    endomorphism whose entrywise action twists the Leibniz rules;
-    ``twist_images`` then maps each entry variable to its image under that
-    action (None when untwisted).  Nothing changes after construction.
+    rules.  ``twist`` is None exactly when the structure is untwisted (an
+    identity twist is stored as None), else the algebra endomorphism whose
+    entrywise action twists the Leibniz rules; ``twist_images`` then maps
+    each entry variable to its image under that action (None when
+    untwisted).  Nothing changes after construction.
     """
 
     __slots__ = ("alg", "n", "kind", "twist", "table", "twist_images")
 
     def __init__(self, alg: FreeAlgebra, n: int, kind: BimodKind,
                  table: dict, twist: Optional[AlgEndo] = None):
+        if twist is not None and twist.is_identity():
+            twist = None
         self.alg = alg
         self.n = n
         self.kind = kind
         self.twist = twist
         self.table = table
-        self.twist_images = (None if self.is_untwisted()
-                             else _entry_images(twist, n))
+        self.twist_images = None if twist is None else _entry_images(twist, n)
 
     def variables(self) -> list:
         return [(g, i, j) for g in range(self.alg.ngens)
@@ -160,7 +162,7 @@ class PoissonStructure:
         return self.table.get((v, w), CPoly.zero())
 
     def is_untwisted(self) -> bool:
-        return self.twist is None or self.twist.is_identity()
+        return self.twist is None
 
     def _twist_poly(self, f: CPoly) -> CPoly:
         return f.substitute(self.twist_images.__getitem__)
@@ -185,7 +187,6 @@ def induce(db: DoubleBracket, n: int) -> PoissonStructure:
     if db.bimodule.alpha != db.bimodule.beta:
         raise ValueError("inducing on matrix entries needs equal twists")
     alg, kind = db.alg, db.kind()
-    twist = None if db.bimodule.is_untwisted() else db.bimodule.alpha
     table = {}
     rng = range(1, n + 1)
     for (gi, gj), d in db.gen_table.items():
@@ -201,7 +202,7 @@ def induce(db: DoubleBracket, n: int) -> PoissonStructure:
                              ).add_into(acc, c)
                         if acc:
                             table[((gi, i, j), (gj, k, l))] = CPoly(acc)
-    return PoissonStructure(alg, n, kind, table, twist)
+    return PoissonStructure(alg, n, kind, table, db.bimodule.alpha)
 
 
 def poisson_eval(ps: PoissonStructure, f: CPoly, g: CPoly) -> CPoly:
@@ -283,12 +284,10 @@ def matrix_tensor_bracket(ps: PoissonStructure, convention: str,
             for k in rng:
                 for l in rng:
                     br = poisson_eval(ps, fa, mb.entry(k, l))
-                    if br.is_zero():
-                        continue
-                    key = (k, j, i, l) if convention == "vdb" else (i, j, k, l)
-                    prev = out.get(key)
-                    out[key] = br if prev is None else prev + br
-    return {k: v for k, v in out.items() if not v.is_zero()}
+                    if not br.is_zero():  # both key maps are one-to-one
+                        out[(k, j, i, l) if convention == "vdb"
+                            else (i, j, k, l)] = br
+    return out
 
 
 def check_rep_morphism(phi: AlgEndo, db1: DoubleBracket, db2: DoubleBracket,

@@ -72,6 +72,26 @@ def test_slot_pair_action_equals_the_per_kind_formulas(kind):
     assert len(out.terms) < 2 * len(d.terms)  # two copies of d, merged
 
 
+def test_act_asks_no_identity_question_per_call(monkeypatch):
+    A = two_gen()
+    x, y = xy(A)
+    flip = AlgEndo(A, {"x": y, "y": x})
+    modules = [Bimodule(kind, alpha, beta, alg=A) for kind in BimodKind
+               for alpha, beta in ((None, None), (flip, flip), (flip, None))]
+    d = A.t2(x, y * x) + A.unit2()
+    ring = [A.one(), x, x * y - y]
+    expected = [act(m, a, d, b) for m in modules
+                for a, b in itertools.product(ring, repeat=2)]
+    calls = []
+    gen = FreeAlgebra.gen
+    monkeypatch.setattr(FreeAlgebra, "gen", lambda self, which: (
+        calls.append(which) or gen(self, which)))
+    assert [act(m, a, d, b) for m in modules
+            for a, b in itertools.product(ring, repeat=2)] == expected
+    assert [m.is_untwisted() for m in modules] == [True, False, False] * 4
+    assert calls == []
+
+
 def test_kind_slot_pairs():
     assert {k.value: k.slots for k in BimodKind} == {
         "left": (0, 0), "right": (1, 1), "outer": (0, 1), "inner": (1, 0)}

@@ -1,8 +1,10 @@
 """Double brackets: Leibniz extension, Jacobiators, verdicts, reductions."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -503,6 +505,210 @@ def test_word_triples_are_lazy():
     assert v.witness == (x, x, y * y)
 
 
+# -- the verdict grid, pinned byte for byte -----------------------------------
+
+VERDICTS = Path(__file__).resolve().parent / "golden" / "verdicts.txt"
+FORMS = [None] + list(itertools.product(("12", "13", "23"), repeat=2))
+
+
+def _grid_brackets():
+    """(label, bracket) on two generators: each kind untwisted, with the
+    diagonal flip x <-> y and with the unequal twists (flip, identity); per
+    bimodule the zero bracket, a bracket whose exact form vanishes on the
+    untwisted kind, a failing one and a raw table taken unchecked."""
+    A = two_gen()
+    x, y = xy(A)
+    one = A.one()
+    flip = AlgEndo(A, {"x": y, "y": x})
+    twists = {"untwisted": (None, None), "flip": (flip, flip),
+              "unequal": (flip, AlgEndo.identity(A))}
+    outer = {("x", "x"): A.t2(x, one) - A.t2(one, x),
+             ("y", "y"): A.t2(y, one) - A.t2(one, y)}
+    holding = {"outer": outer,
+               "inner": {k: d.swap() for k, d in outer.items()},
+               "right": {("x", "y"): A.unit2()},
+               "left": {("x", "y"): A.unit2()}}
+    failing = {("x", "y"): A.t2(x, y) + A.t2(one, y * x)}
+    raw = {("x", "x"): A.t2(x, one), ("x", "y"): A.t2(one, y)}
+    for kind in ("outer", "inner", "right", "left"):
+        for twist, (alpha, beta) in twists.items():
+            m = Bimodule(kind, alpha, beta, alg=A)
+            for name, db in (
+                    ("zero", DoubleBracket.zero(m)),
+                    ("holding", DoubleBracket.from_pairs(m, holding[kind])),
+                    ("failing", DoubleBracket.from_pairs(m, failing)),
+                    ("unchecked",
+                     DoubleBracket.from_full_table_unchecked(m, raw))):
+                yield f"{kind} {twist} {name}", db
+
+
+def _verdict_of(db, form, bound):
+    if form is None:
+        return is_poisson(db, bound)
+    return is_weak_poisson(db, *form, bound)
+
+
+@functools.cache
+def _verdict_grid():
+    """(label, bracket, form, bound, verdict) over the whole grid."""
+    return [(f"{label} {'J' if form is None else '({})({})'.format(*form)}"
+             f" {bound}", db, form, bound, _verdict_of(db, form, bound))
+            for label, db in _grid_brackets()
+            for form in FORMS for bound in (1, 2, 3)]
+
+
+def _verdict_lines():
+    lines = []
+    for label, _, _, _, v in _verdict_grid():
+        witness = "-" if v.witness is None else "({}, {}, {})".format(*v.witness)
+        defect = "-" if v.defect is None else str(v.defect)
+        lines.append(f"{label}\t{v}\t{witness}\t{defect}\n")
+    return "".join(lines)
+
+
+def test_verdict_text_is_unchanged():
+    assert _verdict_lines() == VERDICTS.read_bytes().decode("utf-8")
+
+
+def _ref_sweep(db, defect_of, gen_triples, degree_bound, holds,
+               sigma=None, sigma_prime=None):
+    """Reference: the one-rule-per-entry driver the table replaced."""
+    alg = db.alg
+    sound = gen_triples is not None
+    if sound:
+        triples = (((i,), (j,), (k,)) for i, j, k in gen_triples)
+    else:
+        triples = dbracket._word_triples(alg, degree_bound)
+    _, witness, defect = dbracket._first_failure(
+        triples, lambda triple: dbracket._nonzero(defect_of(*triple)))
+    if witness is not None:
+        return JacVerdict("NotPoisson", sigma, sigma_prime,
+                          tuple(alg.monomial(w) for w in witness), defect)
+    if sound:
+        return holds
+    return JacVerdict("VerifiedUpToDegree", sigma, sigma_prime,
+                      degree=degree_bound)
+
+
+def _ref_is_poisson(db, degree_bound=4):
+    """Reference: the hand-written outer/inner rule, word triples unfiltered."""
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
+    if db.is_zero():
+        return JacVerdict("Poisson")
+    sound = (db.kind() in (BimodKind.OUTER, BimodKind.INNER)
+             and db.bimodule.is_untwisted())
+    return _ref_sweep(
+        db, lambda u, v, w: dbracket._jac_words(db, u, v, w),
+        dbracket._rotation_firsts(dbracket._gen_triples(db.alg))
+        if sound else None, degree_bound, JacVerdict("Poisson"))
+
+
+def _ref_is_weak_poisson(db, sigma, sigma_prime, degree_bound=4):
+    """Reference: the hand-written right (12)(12) and left (12)(13) rule."""
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
+    s = dbracket.transposition(sigma)
+    sp = dbracket.transposition(sigma_prime)
+    s_name = "".join(str(i) for i in (1, 2, 3) if s[i - 1] != i)
+    sp_name = "".join(str(i) for i in (1, 2, 3) if sp[i - 1] != i)
+    if db.is_zero():
+        return JacVerdict("WeakPoisson", s_name, sp_name)
+    untwisted = db.bimodule.is_untwisted()
+    sound = ((db.kind() is BimodKind.RIGHT and untwisted
+              and (s_name, sp_name) == ("12", "12"))
+             or (db.kind() is BimodKind.LEFT and untwisted
+                 and (s_name, sp_name) == ("12", "13")))
+    return _ref_sweep(
+        db, lambda u, v, w: dbracket._weak_words(db, s, sp, u, v, w),
+        dbracket._gen_triples(db.alg) if sound else None, degree_bound,
+        JacVerdict("WeakPoisson", s_name, sp_name), s_name, sp_name)
+
+
+def test_exactness_table_equals_the_hand_written_rules():
+    verdicts = _verdict_grid()
+    for label, db, form, bound, v in verdicts:
+        ref = (_ref_is_poisson(db, bound) if form is None
+               else _ref_is_weak_poisson(db, *form, bound))
+        assert v == ref, label
+        assert (v.status, v.sigma, v.sigma_prime, v.witness, v.defect,
+                v.degree) == (ref.status, ref.sigma, ref.sigma_prime,
+                              ref.witness, ref.defect, ref.degree), label
+    # every exact configuration of the grid and a bounded one of each status
+    statuses = {(v.status, v.degree is None) for *_, v in verdicts}
+    assert statuses >= {("Poisson", True), ("WeakPoisson", True),
+                        ("NotPoisson", True), ("VerifiedUpToDegree", False)}
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_bound_is_checked_before_the_transposition_names(form):
+    A = two_gen()
+    for db in (outer_poisson(A), right_const(A),
+               DoubleBracket.zero(Bimodule("left", alg=A))):
+        with pytest.raises(ValueError, match="degree_bound must be >= 1"):
+            _verdict_of(db, form and ("123", "4"), 0)
+        if form is not None:
+            with pytest.raises(ValueError,
+                               match="not a transposition of {1,2,3}: '123'"):
+                is_weak_poisson(db, "123", form[1], 1)
+            with pytest.raises(ValueError,
+                               match=r"not a transposition of {1,2,3}: '\(4\)'"):
+                is_weak_poisson(db, form[0], "(4)", 1)
+            # tuples and parenthesised names read as the plain names
+            v = is_weak_poisson(db, *(f"({s})" for s in form), 1)
+            w = is_weak_poisson(db, *(dbracket.transposition(s)
+                                      for s in form), 1)
+            assert v == w == is_weak_poisson(db, *form, 1)
+            assert (v.sigma, v.sigma_prime) == form
+
+
+@pytest.mark.parametrize("bound,kept,total", [(2, 76, 216), (3, 924, 2744),
+                                              (4, 9020, 27000)])
+def test_word_sweep_keeps_one_triple_per_rotation_class(bound, kept, total):
+    from dbrackets.dbracket import _rotation_firsts, _word_triples
+    A = two_gen()
+    triples = list(_word_triples(A, bound))
+    firsts = list(_rotation_firsts(triples))
+    assert (len(firsts), len(triples)) == (kept, total)
+    # each triple is a rotation of exactly one kept triple
+    kept_set = set(firsts)
+    for t in triples:
+        assert len({t[r:] + t[:r] for r in range(3)} & kept_set) == 1
+
+
+def test_jacobiator_rotation_identity_on_word_triples():
+    rng = random.Random(5)
+    for kind in ("outer", "inner", "right", "left"):
+        for db in _random_tables(rng, kind, 2, 2):
+            words = sorted(db.alg.words_up_to(2, min_degree=1))
+            for _ in range(12):
+                u, v, w = (rng.choice(words) for _ in range(3))
+                assert dbracket._jac_words(db, u, v, w) == tensor3_perm(
+                    P123, dbracket._jac_words(db, v, w, u))
+
+
+def test_bounded_refutes_equal_the_full_word_sweep(monkeypatch):
+    A = two_gen()
+    brackets = [right_const(A), swap_equivalent(right_const(A)),
+                twisted_ctr(A)]
+    for db in brackets:
+        for bound in (2, 3, 4):
+            v = is_poisson(db, bound)
+            assert v.status == "NotPoisson"
+            assert v == _ref_is_poisson(db, bound)
+    # the filtered sweep evaluates the kept triples before the witness only
+    calls = []
+    jac_words = dbracket._jac_words
+    monkeypatch.setattr(dbracket, "_jac_words", lambda db, u, v, w: (
+        calls.append((u, v, w)) or jac_words(db, u, v, w)))
+    v = is_poisson(right_const(A), 4)
+    words = [tuple(w.terms)[0] for w in v.witness]
+    before = list(itertools.takewhile(
+        lambda t: t != tuple(words), dbracket._word_triples(A, 4)))
+    assert calls == list(dbracket._rotation_firsts(before)) + [tuple(words)]
+    assert len(calls) < len(before) + 1
+
+
 # -- equivalences -------------------------------------------------------------
 
 def test_swap_equivalent_involution_and_poisson_transport():
@@ -903,3 +1109,8 @@ def test_sym_extension_jacobi_for_weak_poisson_bracket():
     necks = [Necklace(A, w) for w in A.words_up_to(3, 1)] + [A.necklace("")]
     for na, nb, nc in itertools.combinations(necks, 3):
         assert sym_jacobi_defect(db, na, nb, nc).is_zero()
+
+
+if __name__ == "__main__":
+    VERDICTS.write_bytes(_verdict_lines().encode("utf-8"))
+    print(f"wrote {VERDICTS.name}")

@@ -119,6 +119,32 @@ def test_apply_endo_is_multiplicative_and_additive():
     assert apply_endo(e, p + q) == apply_endo(e, p) + apply_endo(e, q)
 
 
+def test_is_identity_equals_the_image_comparison(monkeypatch):
+    A = two_gen()
+    x, y = xy(A)
+    same_names, other = FreeAlgebra(["x", "y"]), FreeAlgebra(["a", "b"])
+    flip = AlgEndo(A, {"x": y, "y": x})
+    shift = AlgEndo(A, {"x": x + A.one(), "y": y})
+    maps = [AlgEndo.identity(A), AlgEndo(A, {"x": x, "y": y}), flip, shift,
+            flip.after(flip), shift.after(flip), flip.after(shift),
+            AlgEndo.identity(A).after(AlgEndo.identity(A)),
+            AlgEndo(A, {"x": x.scale(2), "y": y}),
+            AlgEndo(A, {"x": same_names.gen("x"), "y": same_names.gen("y")},
+                    codomain=same_names),
+            AlgEndo(A, {"x": other.gen("a"), "y": other.gen("b")},
+                    codomain=other)]
+    direct = [e.domain.names == e.codomain.names
+              and all(e.images[i] == e.domain.gen(i)
+                      for i in range(e.domain.ngens)) for e in maps]
+    assert direct == [True, True, False, False, True, False, False, True,
+                      False, True, False]
+    # decided at construction: asking builds and compares nothing
+    calls = []
+    monkeypatch.setattr(FreeAlgebra, "gen", lambda *args: calls.append(args))
+    assert [e.is_identity() for e in maps] == direct
+    assert calls == []
+
+
 def test_endo_missing_image_rejected():
     A = two_gen()
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from dbrackets import (AlgEndo, Bimodule, BimodKind, CPoly, DoubleBracket,
                        eval_nc, express_in_trace_basis, induce, jacobi_defect,
                        jacobi_sweep, matrix_tensor_bracket, mult_bracket,
                        poisson_eval, swap_equivalent, trace_bracket)
+from dbrackets.repspace import PoissonStructure
 
 from helpers import monomials, outer_poisson, right_const, two_gen, xy
 
@@ -148,6 +149,28 @@ def test_long_word_adds_one_memo_entry():
     assert eval_nc(A.gen(0) ** 4000, 1).entry(1, 1) == \
         CPoly.var((0, 1, 1), 4000)
     assert len(memo) == before + 1
+
+
+def test_identity_twist_is_stored_as_untwisted():
+    A = two_gen()
+    x, y = xy(A)
+    flip = AlgEndo(A, {"x": y, "y": x})
+    table = induce(outer_poisson(A), 2).table
+    for twist in (None, AlgEndo.identity(A), flip.after(flip)):
+        ps = PoissonStructure(A, 2, BimodKind.OUTER, table, twist)
+        assert ps.twist is None and ps.twist_images is None
+        assert ps.is_untwisted()
+    ps = PoissonStructure(A, 2, BimodKind.OUTER, table, flip)
+    assert ps.twist is flip and not ps.is_untwisted()
+    assert len(ps.twist_images) == A.ngens * 2 * 2
+    # a bracket over explicitly given identity twists induces an untwisted
+    # structure, with the same sweep as the bracket without them
+    ident = AlgEndo.identity(A)
+    db = DoubleBracket.from_pairs(Bimodule("outer", ident, ident),
+                                  outer_poisson(A).gen_table)
+    ps = induce(db, 2)
+    assert ps.twist is None and ps.twist_images is None
+    assert str(jacobi_sweep(ps)) == str(jacobi_sweep(induce(outer_poisson(A), 2)))
 
 
 def test_twisted_induce_exposes_twist_images():
