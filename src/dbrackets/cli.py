@@ -25,8 +25,9 @@ from .parsing import (ParseError, SessionSpec, parse_integer, parse_poly,
                       parse_rational, parse_session)
 from .repspace import (entry_name, induce, jacobi_sweep, matrix_tensor_bracket,
                        trace_bracket)
-from .ybe import (check_entry_jacobi, cybe_defect, entry_bracket,
-                  format_mat_tensor2, parse_mat_tensor2, standard_r)
+from .ybe import (MAX_MATRIX_SIZE, check_entry_jacobi, cybe_defect,
+                  entry_bracket, format_mat_tensor2, parse_mat_tensor2,
+                  standard_r)
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -198,13 +199,23 @@ def _read(path) -> str:
         return f.read()
 
 
+def _matrix_size(text: str) -> int:
+    """The N of ``ybe standard N`` and ``--standard N``, checked against
+    the largest matrix size before any work."""
+    n = parse_integer(text)
+    if n > MAX_MATRIX_SIZE:
+        raise CommandError(
+            f"matrix size {n} is above the largest, {MAX_MATRIX_SIZE}")
+    return n
+
+
 def _cmd_ybe(args, rep):
     if not args:
         raise CommandError("ybe needs a subject: check | standard | entry-jacobi")
     what, rest = args[0], args[1:]
     if what == "standard":
         pos, _ = _opts(rest, {}, 1, "ybe standard needs N")
-        text = format_mat_tensor2(standard_r(parse_integer(pos[0])))
+        text = format_mat_tensor2(standard_r(_matrix_size(pos[0])))
         for line in text.splitlines():
             rep.say(line, term=line)
     elif what == "check":
@@ -216,7 +227,7 @@ def _cmd_ybe(args, rep):
         rep.outcome(ok)
     elif what == "entry-jacobi":
         standard = "--standard" in rest
-        pos, opts = _opts(rest, {"--standard": parse_integer},
+        pos, opts = _opts(rest, {"--standard": _matrix_size},
                           0 if standard else 1,
                           "give either a file or --standard N" if standard else
                           "ybe entry-jacobi needs a tensor file or --standard N")

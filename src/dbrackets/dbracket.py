@@ -220,13 +220,44 @@ def _trilinear(db: DoubleBracket, of_words, a, b, c) -> Tensor3:
     return Tensor3(db.alg, data)
 
 
-def _jac_words(db: DoubleBracket, u, v, w) -> Tensor3:
-    out = db._jac_cache.get((u, v, w))
+def _first_rotation(t):
+    """The rotation of the triple t = (a, b, c) that comes first in tuple
+    order, and the permutation that carries a cyclic form's value there to
+    its value at t: (t, None) if t is first, ((b, c, a), P123) or
+    ((c, a, b), P132) otherwise.  A triple and its rotations are one class
+    of one or three distinct triples, so the first is unique."""
+    r1, r2 = t[1:] + t[:1], t[2:] + t[:2]
+    if t <= r1 and t <= r2:
+        return t, None
+    return (r1, P123) if r1 <= r2 else (r2, P132)
+
+
+def _by_rotation(db: DoubleBracket, tag: tuple, t: tuple, value) -> Tensor3:
+    """A form F with F(a,b,c) = P123 F(b,c,a) at the word triple t,
+    memoised in ``db._jac_cache`` under ``tag + t``: ``value(*t)`` is
+    computed at the first rotation of t only, and the other two rotations
+    are one permutation of it, F(a,b,c) = P123 F(b,c,a) = P132 F(c,a,b)."""
+    out = db._jac_cache.get(tag + t)
     if out is None:
-        out = db._jac_cache[(u, v, w)] = _cyclic(
-            lambda x, y, z: bracket_left(db, _mono(db.alg, x),
-                                         _eval_words(db, y, z)), u, v, w)
+        first, perm = _first_rotation(t)
+        out = (value(*t) if perm is None
+               else tensor3_perm(perm, _by_rotation(db, tag, first, value)))
+        db._jac_cache[tag + t] = out
     return out
+
+
+def _jac_words(db: DoubleBracket, u, v, w) -> Tensor3:
+    """The Jacobiator of three words, memoised per bracket.
+
+    Only the first rotation of (u, v, w) in tuple order is computed;
+    J(u,v,w) = P123 J(v,w,u) gives the other two (``_by_rotation``).  For
+    every term T, _cyclic(T)(a,b,c) = T(a,b,c) + P123 T(b,c,a) +
+    P132 T(c,a,b), so P123 _cyclic(T)(b,c,a) = _cyclic(T)(a,b,c): each
+    summand moves to the next, as P123 P123 = P132 and P123 P132 = id.
+    """
+    return _by_rotation(db, (), (u, v, w), lambda x, y, z: _cyclic(
+        lambda p, q, r: bracket_left(db, _mono(db.alg, p),
+                                     _eval_words(db, q, r)), x, y, z))
 
 
 def jacobiator(db: DoubleBracket, a: NCPoly, b: NCPoly, c: NCPoly) -> Tensor3:
@@ -242,30 +273,44 @@ def jacobiator_form(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
     * "right": cyclic sum of right pairings with swapped inner arguments;
     * "pair-right": swap-conjugated cyclic sum of pair-right terms.
 
-    All four agree on every double bracket.
+    All four agree on every double bracket.  On monomial arguments the
+    value is memoised per bracket, and "right" and "pair-right" are
+    computed at the first rotation of the word triple only, as in
+    ``_jac_words``.  "right" is -_cyclic(T), so the rule of ``_jac_words``
+    holds for it.  "pair-right" is PR(a,b,c) = P12 C(a,c,b) with C a
+    cyclic sum; (a,c,b) is a rotation of (b,a,c), C(a,c,b) =
+    P132 C(b,a,c), so PR(a,b,c) = P12 P132 P12 PR(b,c,a) = P123 PR(b,c,a).
     """
-    key = ((form,) + tuple(next(iter(p.terms)) for p in (a, b, c))
-           if all(list(p.terms.values()) == [1] for p in (a, b, c)) else None)
-    out = db._jac_cache.get(key)
-    if out is not None:
-        return out
     if form == "left":
-        out = jacobiator(db, a, b, c)
+        value = functools.partial(jacobiator, db)
     elif form == "mixed":
-        out = (bracket_left(db, a, eval_bracket(db, b, c))
-               - bracket_right(db, b, eval_bracket(db, a, c))
-               - bracket_pair_left(db, eval_bracket(db, a, b), c))
+        def value(a, b, c):
+            return (bracket_left(db, a, eval_bracket(db, b, c))
+                    - bracket_right(db, b, eval_bracket(db, a, c))
+                    - bracket_pair_left(db, eval_bracket(db, a, b), c))
     elif form == "right":
-        out = -_cyclic(lambda x, y, z: bracket_right(
-            db, y, eval_bracket(db, x, z)), a, b, c)
+        def value(a, b, c):
+            return -_cyclic(lambda x, y, z: bracket_right(
+                db, y, eval_bracket(db, x, z)), a, b, c)
     elif form == "pair-right":
-        out = tensor3_perm(P12, _cyclic(lambda x, y, z: bracket_pair_right(
-            db, eval_bracket(db, z, x), y), a, c, b))
+        def value(a, b, c):
+            return tensor3_perm(P12, _cyclic(
+                lambda x, y, z: bracket_pair_right(
+                    db, eval_bracket(db, z, x), y), a, c, b))
     else:
         raise ValueError(
             f"unknown jacobiator form {form!r}; choose from {JAC_FORMS}")
-    if key is not None:
-        db._jac_cache[key] = out
+    if not all(list(p.terms.values()) == [1] for p in (a, b, c)):
+        return value(a, b, c)
+    for p in (a, b, c):  # a rotation is computed on this bracket's words
+        db.alg._check(p)
+    t = tuple(next(iter(p.terms)) for p in (a, b, c))
+    if form in ("right", "pair-right"):
+        return _by_rotation(db, (form,), t, lambda *words: value(
+            *(_mono(db.alg, w) for w in words)))
+    out = db._jac_cache.get((form,) + t)
+    if out is None:
+        out = db._jac_cache[(form,) + t] = value(a, b, c)
     return out
 
 
@@ -334,11 +379,10 @@ def _gen_triples(alg):
 
 
 def _rotation_firsts(triples):
-    """The triples (a, b, c) that come first among their rotations in tuple
-    order, (a, b, c) <= (b, c, a) and (a, b, c) <= (c, a, b): the product
-    order of generator triples and the order of ``_word_triples`` within a
-    total degree."""
-    return (t for t in triples if t <= t[1:] + t[:1] and t <= t[2:] + t[:2])
+    """The triples that come first among their rotations in tuple order
+    (``_first_rotation``): the product order of generator triples and the
+    order of ``_word_triples`` within a total degree."""
+    return (t for t in triples if _first_rotation(t)[1] is None)
 
 
 def _word_triples(alg, degree_bound):
@@ -400,7 +444,9 @@ def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
     Exact over generator triples where ``_EXACT_FORM`` names this pair:
     untwisted right with ((12), (12)), untwisted left with ((12), (13)).
     Elsewhere a sweep of every word triple up to the bound; no rotation
-    rule is proved for weak forms.
+    rule is proved for weak forms, so no triple is skipped.  Their two
+    Jacobiators are shared by rotation, though: ``_jac_words`` computes
+    one cyclic sum per rotation class and permutes it for the others.
     """
     return _verdict(db, (sigma, sigma_prime), degree_bound)
 

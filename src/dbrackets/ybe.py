@@ -21,8 +21,14 @@ from fractions import Fraction
 from .bimodule import BimodKind
 from .commpoly import CPoly
 from .freealg import FreeAlgebra, LinComb, _q, _tadd
-from .parsing import ParseError, parse_rational
+from .parsing import ParseError, parse_integer, parse_rational
 from .repspace import PoissonStructure, RepJacobiReport, jacobi_sweep
+
+
+# The largest matrix size that a tensor file or ``ybe standard N`` may ask
+# for.  The entry-Jacobi sweep visits N^6 triples: 262 144 at N = 8, about
+# 10 s on one core; the CYBE defect of one term places it N times.
+MAX_MATRIX_SIZE = 8
 
 
 class _OverMatrices(LinComb):
@@ -220,14 +226,21 @@ def parse_mat_tensor2(text: str, N: int | None = None) -> MatTensor2:
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 'i j k l coeff', got {raw!r}")
-        if not all(p.isascii() and p.isdigit() and int(p) for p in parts[:4]):
-            raise ValueError(f"line {lineno}: indices are positive integers "
-                             f"in digits 0-9, got {raw!r}")
+        try:
+            key = tuple(parse_integer(p) for p in parts[:4])
+        except ParseError as exc:
+            raise ValueError(f"line {lineno}: indices are positive integers, "
+                             f"got {raw!r}: {exc.reason}") from None
+        if min(key) < 1:
+            raise ValueError(f"line {lineno}: indices are positive integers, "
+                             f"got {raw!r}")
+        if max(key) > MAX_MATRIX_SIZE:
+            raise ValueError(f"line {lineno}: index {max(key)} is above the "
+                             f"largest matrix size, {MAX_MATRIX_SIZE}")
         try:
             c = parse_rational(parts[4])
         except ParseError as exc:
             raise ValueError(f"line {lineno}: {exc.reason}") from None
-        key = tuple(map(int, parts[:4]))
         terms[key] = terms.get(key, 0) + c
         max_idx = max(max_idx, *key)
     if N is None:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbrackets import (AlgEndo, Bimodule, BimodKind, CompositeAuto,
                        DoubleBracket, FreeAlgebra, Necklace, SwapAuto, Tensor2,
@@ -469,6 +470,115 @@ def test_poisson_sweep_evaluates_one_triple_per_rotation_class(monkeypatch):
     assert len(weak_calls) == 27
 
 
+# -- a theorem: linear outer brackets and associative algebras --------------
+#
+# <<x_i, x_j>> = sum_k a[i, j, k] x_k (x) 1 - a[j, i, k] 1 (x) x_k is double
+# Poisson exactly when x_i x_j = sum_k a[i, j, k] x_k is associative
+# (Odesskii-Rubtsov-Sokolov); associativity is checked here directly.
+
+DUAL_NUMBERS = (2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})  # 1, e; e e = 0
+UPPER_TRIANGULAR = (3, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1,
+                        (2, 2, 2): 1})  # e11, e12, e22
+ASSOCIATIVE = [DUAL_NUMBERS, UPPER_TRIANGULAR,
+               (2, {(0, 0, 0): 1, (1, 1, 1): 1}),  # k x k
+               (3, {(0, 0, 1): 1, (0, 1, 2): 1, (1, 0, 2): 1})]  # x, x^2, x^3
+
+
+def _is_associative(n, a):
+    """(x_i x_j) x_l = x_i (x_j x_l) for all i, j, l, coefficient by
+    coefficient."""
+    def c(i, j, k):
+        return a.get((i, j, k), 0)
+
+    return all(sum(c(i, j, k) * c(k, l, m) for k in range(n))
+               == sum(c(j, l, k) * c(i, k, m) for k in range(n))
+               for i, j, l, m in itertools.product(range(n), repeat=4))
+
+
+def _linear_outer_bracket(n, a):
+    alg = FreeAlgebra([f"x{i}" for i in range(n)])
+    one, gens = alg.one(), alg.gens()
+    return DoubleBracket(Bimodule("outer", alg=alg), {(i, j): sum(
+        (alg.t2(gens[k], one).scale(a.get((i, j, k), 0))
+         - alg.t2(one, gens[k]).scale(a.get((j, i, k), 0)) for k in range(n)),
+        alg.zero2()) for i, j in itertools.product(range(n), repeat=2)})
+
+
+def _inverse(m):
+    """The inverse of an invertible square matrix of rationals."""
+    n = len(m)
+    rows = [list(map(Fraction, row)) + [Fraction(i == j) for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                rows[r] = [v - rows[r][col] * p
+                           for v, p in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _change_basis(n, a, p):
+    """The constants of the same product in the basis y_i = sum_q p[q][i]
+    x_q: y_i y_j = sum p[q][i] p[s][j] a[q, s, r] x_r, and x_r =
+    sum_k inv[k][r] y_k."""
+    inv = _inverse(p)
+    out = {}
+    for (q, s, r), c in a.items():
+        for i, j, k in itertools.product(range(n), repeat=3):
+            out[i, j, k] = (out.get((i, j, k), 0)
+                            + p[q][i] * p[s][j] * c * inv[k][r])
+    return out
+
+
+rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def structure_constants(draw):
+    """An associative algebra in a random basis, the same with one constant
+    moved, or constants drawn outright."""
+    mode = draw(st.sampled_from(["associative", "moved", "drawn"]))
+    if mode == "drawn":
+        n = draw(st.integers(2, 3))
+        keys = st.tuples(*[st.integers(0, n - 1)] * 3)
+        return n, draw(st.dictionaries(keys, rationals, max_size=6))
+    n, a = draw(st.sampled_from(ASSOCIATIVE))
+    # lower unitriangular times upper with a nonzero diagonal: invertible
+    lower = [[1 if i == j else draw(rationals) if i > j else 0
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(rationals.filter(bool)) if i == j else draw(rationals)
+              if i < j else 0 for j in range(n)] for i in range(n)]
+    p = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    a = _change_basis(n, a, p)
+    if mode == "moved":
+        key = draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+        a[key] = a.get(key, 0) + draw(rationals.filter(bool))
+    return n, a
+
+
+def test_linear_outer_brackets_of_associative_algebras_are_poisson():
+    for n, a in (DUAL_NUMBERS, UPPER_TRIANGULAR):
+        assert _is_associative(n, a)
+        assert is_poisson(_linear_outer_bracket(n, a)) == JacVerdict("Poisson")
+    n, a = DUAL_NUMBERS
+    moved = {**a, (0, 1, 0): 1}  # 1 e = 1 + e: (1 1) e != 1 (1 e)
+    assert not _is_associative(n, moved)
+    assert is_poisson(_linear_outer_bracket(n, moved)).status == "NotPoisson"
+
+
+@settings(max_examples=60, deadline=None)
+@given(structure_constants())
+def test_linear_outer_bracket_is_poisson_iff_associative(constants):
+    n, a = constants
+    verdict = is_poisson(_linear_outer_bracket(n, a))
+    assert verdict.status in ("Poisson", "NotPoisson")  # the exact criterion
+    assert (verdict.status == "Poisson") == _is_associative(n, a)
+
+
 def _eager_word_triples(alg, degree_bound):
     """Reference: the sweep order built as one sorted list of all triples."""
     words = sorted(alg.words_up_to(degree_bound, min_degree=1),
@@ -685,6 +795,90 @@ def test_jacobiator_rotation_identity_on_word_triples():
                 u, v, w = (rng.choice(words) for _ in range(3))
                 assert dbracket._jac_words(db, u, v, w) == tensor3_perm(
                     P123, dbracket._jac_words(db, v, w, u))
+
+
+def _ref_cyclic(term, a, b, c):
+    return (term(a, b, c) + tensor3_perm(P123, term(b, c, a))
+            + tensor3_perm(P132, term(c, a, b)))
+
+
+def _ref_jac_words(db, u, v, w):
+    """The Jacobiator of three words as computed before rotations shared
+    work: every triple by its own cyclic sum, nothing memoised."""
+    return _ref_cyclic(lambda x, y, z: bracket_left(
+        db, dbracket._mono(db.alg, x), _eval_words(db, y, z)), u, v, w)
+
+
+def _ref_form(db, form, a, b, c):
+    """The "right" and "pair-right" bodies of jacobiator_form before
+    rotations shared work."""
+    if form == "right":
+        return -_ref_cyclic(lambda x, y, z: bracket_right(
+            db, y, eval_bracket(db, x, z)), a, b, c)
+    return tensor3_perm(P12, _ref_cyclic(lambda x, y, z: bracket_pair_right(
+        db, eval_bracket(db, z, x), y), a, c, b))
+
+
+def _rotation_brackets(seed):
+    """Fresh random brackets on two generators, one per kind, untwisted and
+    twisted by the diagonal flip x <-> y, with rational coefficients; the
+    entries take words of length at most one, so the cubes stay small."""
+    rng = random.Random(seed)
+    A = two_gen()
+    x, y = xy(A)
+    flip = AlgEndo(A, {"x": y, "y": x})
+
+    def entry():
+        return Tensor2(A, {tuple(tuple(rng.randrange(2) for _ in range(
+            rng.randint(0, 1))) for _ in range(2)): rng.choice(
+                [1, -1, Fraction(1, 2), Fraction(-2, 3)]) for _ in range(2)})
+
+    for kind in ("outer", "inner", "right", "left"):
+        for twist in (None, flip):
+            d = entry()
+            yield DoubleBracket(Bimodule(kind, twist, twist, alg=A),
+                                {("x", "x"): d - d.swap(), ("x", "y"): entry()})
+
+
+def test_rotation_memo_equals_the_unmemoised_formulas():
+    A = two_gen()
+    words = sorted(A.words_up_to(2, min_degree=1))
+    triples = list(itertools.product(words, repeat=3))
+    classes = [[t[r:] + t[:r] for r in range(3)]
+               for t in dbracket._rotation_firsts(triples)]
+    assert sorted({t for c in classes for t in c}) == triples
+    mono = functools.partial(dbracket._mono, A)
+    # two halves of the six orders of the three rotations of a class: in
+    # each half the first rotation is asked for first, second and third
+    halves = ([(0, 1, 2), (1, 0, 2), (1, 2, 0)],
+              [(0, 2, 1), (2, 0, 1), (2, 1, 0)])
+    for n, reference in enumerate(_rotation_brackets(7)):
+        expected = {t: (_ref_jac_words(reference, *t),
+                        _ref_form(reference, "right", *map(mono, t)),
+                        _ref_form(reference, "pair-right", *map(mono, t)))
+                    for t in triples}
+        assert sum(1 for jac, _, _ in expected.values() if jac.terms) > 100
+        # one half per bracket, so all six per kind, each on a fresh bracket
+        for order in halves[n % 2]:
+            db = DoubleBracket.from_full_table_unchecked(
+                reference.bimodule, reference.gen_table)
+            for t in (c[r] for c in classes for r in order):
+                jac, right, pair_right = expected[t]
+                polys = tuple(map(mono, t))
+                assert dbracket._jac_words(db, *t) == jac
+                assert dbracket.jacobiator_form(db, "right", *polys) == right
+                assert dbracket.jacobiator_form(
+                    db, "pair-right", *polys) == pair_right
+
+
+def test_weak_sweep_computes_one_cyclic_sum_per_rotation_class(monkeypatch):
+    cyclic, calls = dbracket._cyclic, []
+    monkeypatch.setattr(dbracket, "_cyclic", lambda term, a, b, c: (
+        calls.append((a, b, c)) or cyclic(term, a, b, c)))
+    db = outer_poisson(two_gen())
+    assert is_weak_poisson(db, "12", "12", 2).status == "VerifiedUpToDegree"
+    assert len(calls) == len(set(calls)) == 76  # 216 triples
+    assert all(dbracket._first_rotation(t) == (t, None) for t in calls)
 
 
 def test_bounded_refutes_equal_the_full_word_sweep(monkeypatch):

@@ -18,7 +18,8 @@ import pytest
 from dbrackets import (CPoly, MatTensor2, casimir, check_entry_jacobi,
                        cybe_defect, entry_bracket, format_mat_tensor2,
                        parse_mat_tensor2, standard_r)
-from dbrackets.cli import main
+from dbrackets.cli import main, run_text
+from dbrackets.ybe import MAX_MATRIX_SIZE
 
 
 def textbook_cybe_defect(r):
@@ -178,6 +179,56 @@ def test_tensor_file_indices_are_positive_ascii_integers():
             parse_mat_tensor2(f"1 1 1 {index} 1\n")
     assert parse_mat_tensor2("1 1 01 1 -1/2\n") == \
         MatTensor2(1, {(1, 1, 1, 1): Fraction(-1, 2)})
+
+
+@pytest.mark.parametrize("index, reason", [
+    ("+1", ": expected 'NUMBER', found '+'"),
+    ("1_0", ": expected 'EOF', found '_0'"),
+    ("\u0661", ": unexpected character '\u0661'"),
+    ("0x1", ": expected 'EOF', found 'x1'"),
+    ("0", ""), ("-1", ""), ("-0", "")])
+def test_tensor_file_indices_are_read_by_the_integer_grammar(index, reason):
+    with pytest.raises(ValueError) as info:
+        parse_mat_tensor2(f"1 1 1 1 1\n1 1 {index} 1 1\n")
+    assert str(info.value) == (f"line 2: indices are positive integers, "
+                               f"got '1 1 {index} 1 1'{reason}")
+
+
+def test_matrix_size_budget_on_tensor_files(tmp_path, capsys):
+    """A file's matrix size is its largest index, checked per line before
+    any work; the sizes of tests, demos and the benchmark stay below it."""
+    assert MAX_MATRIX_SIZE >= 6
+    r = parse_mat_tensor2(f"1 1 1 {MAX_MATRIX_SIZE} 1\n")
+    assert r.N == MAX_MATRIX_SIZE
+    for command, line in (("check", "1 1 1 1000000 1"),
+                          ("entry-jacobi", "1 2 1 1000 1"),
+                          ("check", f"{MAX_MATRIX_SIZE + 1} 1 1 1 x")):
+        path = tmp_path / "r.txt"
+        path.write_text(f"1 1 1 1 -1/2\n{line}\n")
+        assert main(["ybe", command, str(path)]) == 2
+        captured = capsys.readouterr()
+        index = max(int(p) for p in line.split()[:4])
+        assert (captured.out, captured.err) == ("", (
+            f"error: line 2: index {index} is above the largest matrix "
+            f"size, {MAX_MATRIX_SIZE}\n"))
+
+
+@pytest.mark.parametrize("argv", [["ybe", "standard", "{}"],
+                                  ["ybe", "entry-jacobi", "--standard", "{}"]])
+def test_matrix_size_budget_on_standard_tensors(capsys, argv):
+    for n in (MAX_MATRIX_SIZE + 1, 10 ** 6):
+        assert main([a.format(n) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            f"error: matrix size {n} is above the largest, "
+            f"{MAX_MATRIX_SIZE}\n"))
+    assert main(["ybe", "standard", str(MAX_MATRIX_SIZE)]) == 0
+    assert capsys.readouterr().out == format_mat_tensor2(
+        standard_r(MAX_MATRIX_SIZE))
+    command = " ".join(argv).format(10 ** 6)
+    assert run_text(f"algebra {{ gens: x }}\n{command}\n") == (
+        "error: line 2, column 1: matrix size 1000000 is above the largest, "
+        f"{MAX_MATRIX_SIZE}\n", 2)
 
 
 def test_index_bounds_checked():
