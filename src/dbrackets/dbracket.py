@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from .bimodule import Bimodule, BimodKind, act, swap_bimodule
@@ -40,10 +42,23 @@ class DoubleBracket:
     -swap(table[i, j]), and raises where a given entry disagrees;
     ``from_full_table_unchecked`` takes the entries as they are (to study
     operations that fail antisymmetry).
+
+    A table with non-integral entries keeps a hidden integer twin: the
+    same bimodule, with the table times D, the lcm of the entries'
+    denominators, stored as ``int``s.  The Leibniz extension is linear in
+    the table and the Jacobiators are quadratic in it, so the public
+    entries compute on the twin's memos and rescale only what they return:
+    ``eval_bracket``, the four ``bracket_*`` maps and the values of a
+    ``check_antisymmetry`` witness by 1/D; ``jacobiator``,
+    ``jacobiator_form``, ``weak_jacobiator`` and a verdict's defect by
+    1/D^2.  Whether a value is zero does not depend on the scale, so sweep
+    order, witnesses and counts are those of the table itself.  An
+    integral table has no twin, and a twin never refers back to its
+    bracket, so a bracket's memos go with it.
     """
 
     __slots__ = ("bimodule", "gen_table", "alg", "_star",
-                 "_eval_cache", "_jac_cache")
+                 "_eval_cache", "_jac_cache", "_twin", "_inv", "__weakref__")
 
     def __init__(self, bimodule: Bimodule, gen_table: dict, *, validate: bool = True):
         self.bimodule = bimodule
@@ -69,6 +84,15 @@ class DoubleBracket:
         self._star = swap_bimodule(bimodule)
         self._eval_cache = {}
         self._jac_cache = {}
+        self._twin = self._inv = None
+        den = math.lcm(*(c.denominator for d in table.values()
+                         for c in d.terms.values()))
+        if den > 1:  # the table times den as ints; scale would keep Fractions
+            self._twin = DoubleBracket(bimodule, {key: Tensor2(alg, {
+                w: c.numerator * (den // c.denominator)
+                for w, c in d.terms.items()}) for key, d in table.items()},
+                validate=False)
+            self._inv = Fraction(1, den)
 
     @classmethod
     def from_pairs(cls, bimodule: Bimodule, entries: dict) -> "DoubleBracket":
@@ -115,6 +139,31 @@ def _mono(alg, w) -> NCPoly:
     return NCPoly(alg, {w: 1})
 
 
+def _unit_word(p: NCPoly):
+    """The word w if p is the monomial 1*w, else None (the unit word is
+    (), so test the result against None)."""
+    if len(p.terms) == 1:
+        (w, c), = p.terms.items()
+        if c == 1:
+            return w
+    return None
+
+
+def _integral(db: DoubleBracket):
+    """The bracket whose memos compute db's values, and the factor 1/D that
+    takes a value linear in its table back to db (None when D = 1)."""
+    return (db, None) if db._twin is None else (db._twin, db._inv)
+
+
+def _rescaled(t, inv, power: int = 1):
+    """t times inv**power, for a value of degree ``power`` in the twin's
+    table; t itself when there is no twin."""
+    if inv is None:
+        return t
+    f = inv if power == 1 else inv ** power
+    return t._like({key: c * f for key, c in t.terms.items()})
+
+
 def _eval_words(db: DoubleBracket, u, v) -> Tensor2:
     """<<u, v>> for words u, v by the Leibniz rules, memoised per bracket.
 
@@ -144,14 +193,19 @@ def _eval_words(db: DoubleBracket, u, v) -> Tensor2:
 
 
 def eval_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly) -> Tensor2:
-    """Bilinear extension of the generator table by the Leibniz rules."""
+    """Bilinear extension of the generator table by the Leibniz rules; on
+    two unit monomials, the memoised value itself."""
     db.alg._check(a)
     db.alg._check(b)
+    db, inv = _integral(db)
+    u, v = _unit_word(a), _unit_word(b)
+    if u is not None and v is not None:
+        return _rescaled(_eval_words(db, u, v), inv)
     data = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
             _eval_words(db, u, v).add_into(data, cu * cv)
-    return Tensor2(db.alg, data)
+    return _rescaled(Tensor2(db.alg, data), inv)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +219,7 @@ def _pair(db: DoubleBracket, p: NCPoly, d: Tensor2, p_first: bool,
     ``p_first``) gives terms u1 (x) u2, and the other word of d is put at
     position ``slot`` of the cube term next to u1, u2."""
     db.alg._check(p)
+    db, inv = _integral(db)
     data = {}
     for w, c in d.terms.items():
         kept = w[1 - factor]
@@ -174,7 +229,7 @@ def _pair(db: DoubleBracket, p: NCPoly, d: Tensor2, p_first: bool,
             cc = c * cx
             for u12, ci in t.terms.items():
                 _tadd(data, u12[:slot] + (kept,) + u12[slot:], cc * ci)
-    return Tensor3(db.alg, data)
+    return _rescaled(Tensor3(db.alg, data), inv)
 
 
 def bracket_left(db: DoubleBracket, a: NCPoly, d: Tensor2) -> Tensor3:
@@ -209,9 +264,13 @@ def _cyclic(term, a, b, c) -> Tensor3:
 
 
 def _trilinear(db: DoubleBracket, of_words, a, b, c) -> Tensor3:
-    """The trilinear extension of ``of_words(u, v, w)`` to polynomials."""
+    """The trilinear extension of ``of_words(u, v, w)`` to polynomials; on
+    three unit monomials, the value of ``of_words`` itself."""
     for p in (a, b, c):
         db.alg._check(p)
+    words = tuple(map(_unit_word, (a, b, c)))
+    if None not in words:
+        return of_words(*words)
     data = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
@@ -262,7 +321,9 @@ def _jac_words(db: DoubleBracket, u, v, w) -> Tensor3:
 
 def jacobiator(db: DoubleBracket, a: NCPoly, b: NCPoly, c: NCPoly) -> Tensor3:
     """The cyclic sum <<a,<<b,c>>>>_L + perms, valued in the tensor cube."""
-    return _trilinear(db, lambda u, v, w: _jac_words(db, u, v, w), a, b, c)
+    db, inv = _integral(db)
+    return _rescaled(_trilinear(
+        db, lambda u, v, w: _jac_words(db, u, v, w), a, b, c), inv, 2)
 
 
 def jacobiator_form(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
@@ -280,7 +341,9 @@ def jacobiator_form(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
     holds for it.  "pair-right" is PR(a,b,c) = P12 C(a,c,b) with C a
     cyclic sum; (a,c,b) is a rotation of (b,a,c), C(a,c,b) =
     P132 C(b,a,c), so PR(a,b,c) = P12 P132 P12 PR(b,c,a) = P123 PR(b,c,a).
+    "left" on monomials is the ``_jac_words`` value itself.
     """
+    db, inv = _integral(db)
     if form == "left":
         value = functools.partial(jacobiator, db)
     elif form == "mixed":
@@ -300,18 +363,19 @@ def jacobiator_form(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
     else:
         raise ValueError(
             f"unknown jacobiator form {form!r}; choose from {JAC_FORMS}")
-    if not all(list(p.terms.values()) == [1] for p in (a, b, c)):
-        return value(a, b, c)
+    t = tuple(map(_unit_word, (a, b, c)))
+    if None in t:
+        return _rescaled(value(a, b, c), inv, 2)
     for p in (a, b, c):  # a rotation is computed on this bracket's words
         db.alg._check(p)
-    t = tuple(next(iter(p.terms)) for p in (a, b, c))
     if form in ("right", "pair-right"):
-        return _by_rotation(db, (form,), t, lambda *words: value(
+        out = _by_rotation(db, (form,), t, lambda *words: value(
             *(_mono(db.alg, w) for w in words)))
-    out = db._jac_cache.get((form,) + t)
-    if out is None:
-        out = db._jac_cache[(form,) + t] = value(a, b, c)
-    return out
+    else:
+        out = db._jac_cache.get((form,) + t)
+        if out is None:
+            out = db._jac_cache[(form,) + t] = value(a, b, c)
+    return _rescaled(out, inv, 2)
 
 
 def permute_args(sigma, args: tuple) -> tuple:
@@ -329,8 +393,9 @@ def weak_jacobiator(db: DoubleBracket, sigma, sigma_prime, a, b, c) -> Tensor3:
     """
     s = transposition(sigma)
     sp = transposition(sigma_prime)
-    return _trilinear(db, lambda u, v, w: _weak_words(db, s, sp, u, v, w),
-                      a, b, c)
+    db, inv = _integral(db)
+    return _rescaled(_trilinear(
+        db, lambda u, v, w: _weak_words(db, s, sp, u, v, w), a, b, c), inv, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +497,12 @@ def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
 
 
 def _weak_words(db, s, sp, u, v, w) -> Tensor3:
-    args = permute_args(sp, (u, v, w))
-    return _jac_words(db, u, v, w) - tensor3_perm(
-        perm_invert(s), _jac_words(db, *args))
+    """J(u,v,w) minus its conjugate by (s, sp); the two are compared as
+    dicts first, so only a witness pays for the subtraction."""
+    jac = _jac_words(db, u, v, w)
+    other = tensor3_perm(perm_invert(s),
+                         _jac_words(db, *permute_args(sp, (u, v, w))))
+    return Tensor3(db.alg, {}) if jac.terms == other.terms else jac - other
 
 
 def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
@@ -464,6 +532,7 @@ def _verdict(db: DoubleBracket, pair, degree_bound: int) -> JacVerdict:
     holds = JacVerdict("Poisson" if form is None else "WeakPoisson", *names)
     if db.is_zero():
         return holds
+    db, inv = _integral(db)
     alg = db.alg
     exact = db.bimodule.is_untwisted() and _EXACT_FORM[db.kind()] == form
     triples = ((((i,), (j,), (k,)) for i, j, k in _gen_triples(alg)) if exact
@@ -476,7 +545,8 @@ def _verdict(db: DoubleBracket, pair, degree_bound: int) -> JacVerdict:
         triples, lambda t: _nonzero(defect_of(t)))
     if witness is not None:
         return JacVerdict("NotPoisson", *names,
-                          tuple(_mono(alg, w) for w in witness), defect)
+                          tuple(_mono(alg, w) for w in witness),
+                          _rescaled(defect, inv, 2))
     if exact:
         return holds
     return JacVerdict("VerifiedUpToDegree", *names, degree=degree_bound)
@@ -507,6 +577,7 @@ def check_antisymmetry(db: DoubleBracket, degree_bound: int = 3) -> AntisymRepor
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
+    db, inv = _integral(db)
     alg = db.alg
     words = sorted(alg.words_up_to(degree_bound), key=_deglex)
 
@@ -514,7 +585,9 @@ def check_antisymmetry(db: DoubleBracket, degree_bound: int = 3) -> AntisymRepor
         u, v = pair
         lhs = _eval_words(db, u, v)
         rhs = -_eval_words(db, v, u).swap()
-        return None if lhs == rhs else (_mono(alg, u), _mono(alg, v), lhs, rhs)
+        return None if lhs == rhs else (_mono(alg, u), _mono(alg, v),
+                                        _rescaled(lhs, inv),
+                                        _rescaled(rhs, inv))
 
     pairs, _, witness = _first_failure(itertools.product(words, repeat=2),
                                        failure)

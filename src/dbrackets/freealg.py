@@ -11,10 +11,13 @@ elements and of the package's other finite linear combinations
 (commutative polynomials, matrix tensors).
 
 No floating point is used anywhere: all arithmetic is exact.  A
-coefficient is stored as an ``int`` when it is integral and as a
-``Fraction`` otherwise, never as a ``float``; ``_q`` normalises numbers
-where they enter (``scale`` and the element constructors) and refuses
-floats there, and integer arithmetic stays integral from there on.
+coefficient is an ``int`` or a ``Fraction``, never a ``float``.  ``_q``
+normalises numbers where they enter (``scale`` and the element
+constructors): an integral one becomes an ``int``, and a float is
+refused.  Integer arithmetic stays integral from there on, but
+``Fraction`` arithmetic may leave an integral ``Fraction``:
+``A.poly({"x": Fraction(1, 2)}).scale(2).terms == {(0,): Fraction(1, 1)}``.
+The two forms compare, hash and print alike.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Double brackets: Leibniz extension, Jacobiators, verdicts, reductions."""
 
 import functools
+import gc
 import itertools
+import math
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from dbrackets import (AlgEndo, Bimodule, BimodKind, CompositeAuto,
 from dbrackets import dbracket
 from dbrackets.bimodule import act
 from dbrackets.dbracket import JacVerdict, _eval_words
-from dbrackets.freealg import P12, P123, P132
+from dbrackets.freealg import P12, P13, P123, P132
 
 from helpers import (bracket_corpus, letter_pair_eval, monomials,
                      outer_poisson, right_const, triples, twisted_ctr, two_gen,
@@ -625,7 +628,9 @@ def _grid_brackets():
     """(label, bracket) on two generators: each kind untwisted, with the
     diagonal flip x <-> y and with the unequal twists (flip, identity); per
     bimodule the zero bracket, a bracket whose exact form vanishes on the
-    untwisted kind, a failing one and a raw table taken unchecked."""
+    untwisted kind, a failing one and a raw table taken unchecked, then the
+    failing one times 3/2 and a raw table with entries 1/2 and -2/5 (the
+    rational rows, whose sweeps run on an integer table)."""
     A = two_gen()
     x, y = xy(A)
     one = A.one()
@@ -640,6 +645,8 @@ def _grid_brackets():
                "left": {("x", "y"): A.unit2()}}
     failing = {("x", "y"): A.t2(x, y) + A.t2(one, y * x)}
     raw = {("x", "x"): A.t2(x, one), ("x", "y"): A.t2(one, y)}
+    raw_q = {("x", "x"): A.t2(x, one).scale(Fraction(1, 2)),
+             ("x", "y"): A.t2(one, y).scale(Fraction(-2, 5))}
     for kind in ("outer", "inner", "right", "left"):
         for twist, (alpha, beta) in twists.items():
             m = Bimodule(kind, alpha, beta, alg=A)
@@ -648,7 +655,12 @@ def _grid_brackets():
                     ("holding", DoubleBracket.from_pairs(m, holding[kind])),
                     ("failing", DoubleBracket.from_pairs(m, failing)),
                     ("unchecked",
-                     DoubleBracket.from_full_table_unchecked(m, raw))):
+                     DoubleBracket.from_full_table_unchecked(m, raw)),
+                    ("failing*3/2", DoubleBracket.from_pairs(m, {
+                        k: d.scale(Fraction(3, 2))
+                        for k, d in failing.items()})),
+                    ("unchecked 1/2,-2/5",
+                     DoubleBracket.from_full_table_unchecked(m, raw_q))):
                 yield f"{kind} {twist} {name}", db
 
 
@@ -901,6 +913,95 @@ def test_bounded_refutes_equal_the_full_word_sweep(monkeypatch):
         lambda t: t != tuple(words), dbracket._word_triples(A, 4)))
     assert calls == list(dbracket._rotation_firsts(before)) + [tuple(words)]
     assert len(calls) < len(before) + 1
+
+
+# -- rational tables: the integer twin ----------------------------------------
+
+def test_rational_tables_compute_on_an_integer_twin():
+    """The public entries of a rational bracket read the memos of its twin,
+    the table times D as ints; the bracket's own memos, filled here by
+    calling ``_eval_words`` and ``_jac_words`` on it directly, compute the
+    same values in Fractions."""
+    A = two_gen()
+    x, y = xy(A)
+    mono = functools.partial(dbracket._mono, A)
+    words = sorted(A.words_up_to(2, min_degree=1))
+    triples = [t for t in itertools.product(words, repeat=3)
+               if sum(map(len, t)) <= 4]
+    twins = 0
+    for db in _rotation_brackets(3):
+        den = math.lcm(*(c.denominator for d in db.gen_table.values()
+                         for c in d.terms.values()))
+        if den == 1:
+            assert db._twin is None
+            continue
+        twins += 1
+        twin = db._twin
+        assert twin._twin is None and db._inv == Fraction(1, den)
+        assert twin.gen_table == {k: d.scale(den)
+                                  for k, d in db.gen_table.items()}
+        assert all(type(c) is int for d in twin.gen_table.values()
+                   for c in d.terms.values())
+        for u, v in itertools.product(words, repeat=2):
+            assert eval_bracket(db, mono(u), mono(v)) == _eval_words(db, u, v)
+        for t in triples:
+            polys = tuple(map(mono, t))
+            jac = dbracket._jac_words(db, *t)
+            assert jacobiator(db, *polys) == jac
+            for form in dbracket.JAC_FORMS:
+                assert dbracket.jacobiator_form(db, form, *polys) == jac
+            assert weak_jacobiator(db, "12", "13", *polys) == \
+                dbracket._weak_words(db, P12, P13, *t)
+        # polynomials with rational coefficients, off the monomial paths
+        a, b = x.scale(Fraction(1, 3)) + y * x, y - x * x.scale(2)
+        assert jacobiator(db, a, b, x) == \
+            _ref_cyclic(lambda p, q, r: bracket_left(db, p, eval_bracket(
+                db, q, r)), a, b, x)
+        assert jacobiator(db, a, b, x) == \
+            dbracket.jacobiator_form(db, "mixed", a, b, x)
+        assert not eval_bracket(db, a, b).is_zero()
+    assert twins >= 6
+    raw = DoubleBracket.from_full_table_unchecked(
+        Bimodule("outer", alg=A),
+        {("x", "x"): A.t2(x, A.one()).scale(Fraction(1, 2)),
+         ("x", "y"): A.t2(A.one(), y).scale(Fraction(-2, 5))})
+    report = check_antisymmetry(raw)
+    a, b, lhs, rhs = report.witness
+    u, v = next(iter(a.terms)), next(iter(b.terms))
+    assert (lhs, rhs) == (_eval_words(raw, u, v),
+                          -_eval_words(raw, v, u).swap())
+
+
+def test_unit_monomials_get_the_memoised_values():
+    A = two_gen()
+    x, y = xy(A)
+    for db in (right_const(A), twisted_ctr(A)):
+        left = dbracket.jacobiator_form(db, "left", x, y, x * y)
+        assert left is dbracket._jac_words(db, (0,), (1,), (0, 1))
+        assert dbracket.jacobiator_form(db, "left", x, y, x * y) is left
+        assert jacobiator(db, y, x * y, x) is \
+            dbracket._jac_words(db, (1,), (0, 1), (0,))
+        assert eval_bracket(db, x, y * x) is _eval_words(db, (0,), (1, 0))
+
+
+def test_a_finished_bracket_is_freed_without_the_cyclic_collector():
+    """No bracket holds a reference cycle, so its memos go with its last
+    reference; a cycle would keep them until the collector runs."""
+    A = two_gen()
+    x, y = xy(A)
+    gc.disable()
+    try:
+        for lam in (1, Fraction(3, 2)):
+            db = right_const(A, lam)
+            assert (db._twin is None) == (lam == 1)
+            assert is_poisson(db, 2).status == "NotPoisson"
+            assert is_weak_poisson(db, "12", "12", 2).holds()
+            dbracket.jacobiator_form(db, "right", x, y, x)
+            ref = weakref.ref(db)
+            del db
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- equivalences -------------------------------------------------------------
