@@ -12,6 +12,7 @@ two matrix-tensor notations.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 
 from .bimodule import BimodKind
 from .commpoly import CPoly, poisson_biderivation
-from .dbracket import DoubleBracket
+from .dbracket import DoubleBracket, _integral, _rescaled
 from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Necklace, _first_failure,
                       _nonzero, _word_image)
 
@@ -139,9 +140,22 @@ class PoissonStructure:
     entrywise action twists the Leibniz rules; ``twist_images`` then maps
     each entry variable to its image under that action (None when
     untwisted).  Nothing changes after construction.
+
+    A table with non-integral entries keeps a hidden integer twin, as a
+    ``DoubleBracket`` does: a structure with the same ring, kind and twist
+    whose table is the table times D, the lcm of the entries'
+    denominators, stored as ``int``s.  The biderivation extension is
+    linear in the table and the Jacobi defect quadratic, so
+    ``poisson_eval``, ``trace_bracket``, ``matrix_tensor_bracket``,
+    ``jacobi_defect`` and ``jacobi_sweep`` compute on the twin and rescale
+    only what they return: brackets by 1/D, defects (a sweep's witness
+    defect among them) by 1/D^2.  Whether a defect is zero does not depend
+    on the scale, so a sweep's witness and count are the table's own.
+    ``table`` is kept as given, and the twin never refers back.
     """
 
-    __slots__ = ("alg", "n", "kind", "twist", "table", "twist_images")
+    __slots__ = ("alg", "n", "kind", "twist", "table", "twist_images",
+                 "_twin", "_inv", "__weakref__")
 
     def __init__(self, alg: FreeAlgebra, n: int, kind: BimodKind,
                  table: dict, twist: Optional[AlgEndo] = None):
@@ -153,6 +167,15 @@ class PoissonStructure:
         self.twist = twist
         self.table = table
         self.twist_images = None if twist is None else _entry_images(twist, n)
+        self._twin = self._inv = None
+        den = math.lcm(*(c.denominator for p in table.values()
+                         for c in p.terms.values()))
+        if den > 1:  # the table times den as ints; scale would keep Fractions
+            self._twin = PoissonStructure(alg, n, kind, {key: CPoly({
+                m: c.numerator * (den // c.denominator)
+                for m, c in p.terms.items()}) for key, p in table.items()},
+                twist)
+            self._inv = Fraction(1, den)
 
     def variables(self) -> list:
         return [(g, i, j) for g in range(self.alg.ngens)
@@ -205,17 +228,35 @@ def induce(db: DoubleBracket, n: int) -> PoissonStructure:
     return PoissonStructure(alg, n, kind, table, db.bimodule.alpha)
 
 
+def _twist_of(ps: PoissonStructure):
+    """The map that twists partial derivatives, None when untwisted."""
+    return None if ps.is_untwisted() else ps._twist_poly
+
+
+def _partials(f: CPoly, twist) -> list:
+    """[(v, t(df/dv))] for the variables v of f, as ``poisson_biderivation``
+    takes them: the plain partials when ``twist`` is None."""
+    parts = f.partials()
+    return parts if twist is None else [(v, twist(fv)) for v, fv in parts]
+
+
 def poisson_eval(ps: PoissonStructure, f: CPoly, g: CPoly) -> CPoly:
     """Extend the entry table to polynomials by the biderivation rules."""
-    twist = None if ps.is_untwisted() else ps._twist_poly
-    return poisson_biderivation(ps.pair_bracket, f, g, twist=twist)
+    ps, inv = _integral(ps)
+    return _rescaled(poisson_biderivation(ps.pair_bracket, f, g,
+                                          twist=_twist_of(ps)), inv)
 
 
 def jacobi_defect(ps: PoissonStructure, f: CPoly, g: CPoly, h: CPoly) -> CPoly:
     """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}."""
-    return (poisson_eval(ps, f, poisson_eval(ps, g, h))
-            + poisson_eval(ps, g, poisson_eval(ps, h, f))
-            + poisson_eval(ps, h, poisson_eval(ps, f, g)))
+    ps, inv = _integral(ps)
+    table, twist = ps.pair_bracket, _twist_of(ps)
+
+    def br(p, q):
+        return poisson_biderivation(table, p, q, twist=twist)
+    defect = br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
+    # a sweep's defects are mostly zero, and zero needs no rescaling
+    return _rescaled(defect, inv, 2) if defect.terms else defect
 
 
 @dataclass
@@ -245,15 +286,37 @@ def jacobi_sweep(ps: PoissonStructure) -> RepJacobiReport:
     each argument; twisted structures are refused since the sweep would not
     certify anything for them.
     """
+    return _jacobi_sweep(ps, increasing=False)
+
+
+def _jacobi_sweep(ps: PoissonStructure, increasing: bool) -> RepJacobiReport:
+    """The Jacobi sweep over variable triples in product order, or over the
+    strictly increasing ones only.
+
+    The second serves antisymmetric tables.  There the defect is totally
+    antisymmetric: it vanishes on a triple with a repeated variable, and
+    it fails on a triple exactly when it fails on its sorted permutation,
+    which comes no later in product order.  So the first failure of the
+    full sweep is strictly increasing, and the increasing sweep finds the
+    same witness and defect.  Either way ``tuples`` counts the triples
+    covered: all of them on a pass, else the witness's position in
+    product order, counted from 1.
+    """
     if not ps.is_untwisted():
         raise ValueError("the Jacobi sweep covers untwisted structures only; "
                          "twisted Leibniz rules leave it inconclusive")
-    fs = {v: CPoly.var(v) for v in ps.variables()}
+    variables = ps.variables()
+    fs = [CPoly.var(v) for v in variables]
+    m = len(fs)
+    triples = (itertools.combinations(range(m), 3) if increasing
+               else itertools.product(range(m), repeat=3))
     count, witness, defect = _first_failure(
-        itertools.product(fs, repeat=3),
-        lambda vs: _nonzero(jacobi_defect(ps, *(fs[v] for v in vs))))
+        triples, lambda t: _nonzero(jacobi_defect(ps, *(fs[i] for i in t))))
+    if increasing:
+        count = m ** 3 if witness is None else \
+            (witness[0] * m + witness[1]) * m + witness[2] + 1
     if witness is not None:
-        witness = tuple(ps.format_entry(v) for v in witness)
+        witness = tuple(ps.format_entry(variables[i]) for i in witness)
     return RepJacobiReport(witness is None, witness, defect, count, ps.n,
                            ps.format_entry)
 
@@ -270,24 +333,49 @@ def matrix_tensor_bracket(ps: PoissonStructure, convention: str,
     ``convention`` chooses the arrangement of {a_ij, b_kl} over elementary
     matrices: "vdb" collects it on E_kj (x) E_il, "tensor" on E_ij (x) E_kl.
     Keys are (i, j, k, l) meaning the coefficient of E_ij (x) E_kl; zero
-    coefficients are omitted.
+    coefficients are omitted.  Each bracket is sum_v t(da_ij/dv) {v, b_kl},
+    read off the Hamiltonian field v -> {v, b_kl} of the entry b_kl, which
+    is computed once per entry; each entry's partials are taken once.
     """
     if convention not in ("vdb", "tensor"):
         raise ValueError(f"convention must be 'vdb' or 'tensor', got {convention!r}")
     n = ps.n
-    ma, mb = eval_nc(a, n), eval_nc(b, n)
+    ps, inv = _integral(ps)
+    twist = _twist_of(ps)
+    a_partials = [[_partials(p, twist) for p in row]
+                  for row in eval_nc(a, n).rows]
+    variables = {v for row in a_partials for parts in row for v, _ in parts}
+    fields = [[_hamiltonian_field(ps, variables, _partials(p, twist))
+               for p in row] for row in eval_nc(b, n).rows]
     out = {}
-    rng = range(1, n + 1)
-    for i in rng:
-        for j in rng:
-            fa = ma.entry(i, j)
-            for k in rng:
-                for l in rng:
-                    br = poisson_eval(ps, fa, mb.entry(k, l))
-                    if not br.is_zero():  # both key maps are one-to-one
+    for i, a_row in enumerate(a_partials, 1):
+        for j, parts in enumerate(a_row, 1):
+            for k, field_row in enumerate(fields, 1):
+                for l, field in enumerate(field_row, 1):
+                    acc = {}
+                    for v, fv in parts:
+                        xv = field.get(v)
+                        if xv is not None:
+                            (fv * xv).add_into(acc)
+                    if acc:  # both key maps are one-to-one
                         out[(k, j, i, l) if convention == "vdb"
-                            else (i, j, k, l)] = br
+                            else (i, j, k, l)] = _rescaled(CPoly(acc), inv)
     return out
+
+
+def _hamiltonian_field(ps: PoissonStructure, variables, g_partials) -> dict:
+    """{v: {v, g}} over the given variables, where it is nonzero, from the
+    twisted partials [(w, t(dg/dw))] of g: {v, g} = sum_w t(dg/dw) {v, w}."""
+    field = {}
+    for v in variables:
+        acc = {}
+        for w, gw in g_partials:
+            br = ps.table.get((v, w))
+            if br is not None:
+                (gw * br).add_into(acc)
+        if acc:
+            field[v] = CPoly(acc)
+    return field
 
 
 def check_rep_morphism(phi: AlgEndo, db1: DoubleBracket, db2: DoubleBracket,

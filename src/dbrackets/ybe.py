@@ -22,12 +22,13 @@ from .bimodule import BimodKind
 from .commpoly import CPoly
 from .freealg import FreeAlgebra, LinComb, _q, _tadd
 from .parsing import ParseError, parse_integer, parse_rational
-from .repspace import PoissonStructure, RepJacobiReport, jacobi_sweep
+from .repspace import PoissonStructure, RepJacobiReport, _jacobi_sweep
 
 
 # The largest matrix size that a tensor file or ``ybe standard N`` may ask
-# for.  The entry-Jacobi sweep visits N^6 triples: 262 144 at N = 8, about
-# 10 s on one core; the CYBE defect of one term places it N times.
+# for.  The entry-Jacobi sweep covers N^6 triples and evaluates the 41 664
+# strictly increasing ones at N = 8, about 2 s on one core; the CYBE
+# defect of one term places it N times.
 MAX_MATRIX_SIZE = 8
 
 
@@ -203,8 +204,15 @@ def entry_bracket(r: MatTensor2) -> EntryBracket:
 
 
 def check_entry_jacobi(eb: EntryBracket) -> RepJacobiReport:
-    """Sweep the Jacobi defect over all triples of entry variables."""
-    return jacobi_sweep(eb.poisson_structure())
+    """Sweep the Jacobi defect over the triples of entry variables.
+
+    The table of any r is antisymmetric, which is checked first; the
+    sweep then evaluates only strictly increasing triples, and finds the
+    witness of the full sweep (see ``repspace._jacobi_sweep``).  Another
+    table gets the full sweep.  ``tuples`` counts the triples covered.
+    """
+    return _jacobi_sweep(eb.poisson_structure(), increasing=all(
+        eb.pair(kl, ij) == -p for (ij, kl), p in eb.table.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ CASES = {
         ["--format", "kv", "gradient", "classify", "--poly", SYM_X1X1X2X3], 1),
     "ybe-entry-jacobi-standard-2": (
         ["ybe", "entry-jacobi", "--standard", "2"], 1),
+    # a rational bracket on Rep(A, n): induced table, a failing Jacobi sweep
+    # (its defect is quadratic in the bracket), trace and tensor brackets
+    "rep-rational": (["run", str(SESSIONS / "rational_outer.session")], 1),
 }
 for _name, _code in (("constant_right_weak", 1), ("linear_poisson", 0),
                      ("twisted_not_poisson", 1)):

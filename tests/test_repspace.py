@@ -1,6 +1,9 @@
 """Induced structures on generic-matrix coordinate rings."""
 
+import gc
 import itertools
+import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,10 +12,12 @@ from dbrackets import (AlgEndo, Bimodule, BimodKind, CPoly, DoubleBracket,
                        FreeAlgebra, abelianized_bracket, check_rep_morphism,
                        eval_nc, express_in_trace_basis, induce, jacobi_defect,
                        jacobi_sweep, matrix_tensor_bracket, mult_bracket,
-                       poisson_eval, swap_equivalent, trace_bracket)
+                       poisson_biderivation, poisson_eval, swap_equivalent,
+                       trace_bracket)
 from dbrackets.repspace import PoissonStructure
 
-from helpers import monomials, outer_poisson, right_const, two_gen, xy
+from helpers import (monomials, outer_generic, outer_poisson,
+                     right_const, right_generic, twisted_ctr, two_gen, xy)
 
 
 def var(g, i, j):
@@ -607,3 +612,125 @@ def test_entry_brackets_of_words_match_arrangements():
                             * eval_nc(A.monomial(w2), n).entry(*idx2)).scale(c)
                     got = poisson_eval(ps, ma.entry(i, j), mb.entry(k, l))
                     assert got == expect, (db.kind(), a, b, i, j, k, l)
+
+
+# -- the integer twin of a rational structure ----------------------------------
+
+def _scaled(db, lam):
+    return DoubleBracket.from_full_table_unchecked(
+        db.bimodule, {key: d.scale(lam) for key, d in db.gen_table.items()})
+
+
+def _fraction_bracket(ps, f, g):
+    """{f, g} by the biderivation rules over ``ps.table`` itself."""
+    twist = None if ps.is_untwisted() else ps._twist_poly
+    return poisson_biderivation(ps.pair_bracket, f, g, twist=twist)
+
+
+def _fraction_sweep(ps):
+    """(count, witness, defect) of the first failing variable triple in
+    product order, every defect computed over ``ps.table`` in Fractions."""
+    def br(f, g):
+        return _fraction_bracket(ps, f, g)
+    count = 0
+    for vs in itertools.product(ps.variables(), repeat=3):
+        count += 1
+        f, g, h = map(CPoly.var, vs)
+        defect = br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
+        if not defect.is_zero():
+            return count, tuple(map(ps.format_entry, vs)), defect
+    return count, None, None
+
+
+def _rational_structures():
+    """(structure, does Jacobi hold): rational tables of the four untwisted
+    kinds, Poisson ones and failing ones, at n = 2 and one at n = 3."""
+    A = two_gen()
+    holding = [_scaled(outer_poisson(A), Fraction(3, 2)),
+               swap_equivalent(_scaled(outer_poisson(A), Fraction(-2, 5))),
+               right_const(A, Fraction(2, 3)),
+               swap_equivalent(right_const(A, Fraction(5, 4)))]
+    failing = [_scaled(outer_generic(A), Fraction(2, 5)),
+               swap_equivalent(_scaled(outer_generic(A), Fraction(-5, 3))),
+               _scaled(right_generic(A), Fraction(3, 4)),
+               swap_equivalent(_scaled(right_generic(A), Fraction(-1, 6)))]
+    out = [(induce(db, 2), True) for db in holding]
+    out += [(induce(db, 2), False) for db in failing]
+    out.append((induce(failing[0], 3), False))
+    return out
+
+
+def test_a_rational_structure_keeps_an_integer_twin():
+    A = two_gen()
+    structures = [ps for ps, _ in _rational_structures()]
+    structures.append(induce(_scaled(twisted_ctr(A), Fraction(3, 2)), 2))
+    assert induce(outer_poisson(A), 2)._twin is None
+    for ps in structures:
+        den = math.lcm(*(c.denominator for p in ps.table.values()
+                         for c in p.terms.values()))
+        assert den > 1 and ps._inv == Fraction(1, den)
+        twin = ps._twin
+        assert twin._twin is None
+        assert (twin.alg, twin.n, twin.kind, twin.twist) == \
+            (ps.alg, ps.n, ps.kind, ps.twist)
+        assert twin.table == {k: p.scale(den) for k, p in ps.table.items()}
+        assert all(type(c) is int for p in twin.table.values()
+                   for c in p.terms.values())
+
+
+def test_jacobi_sweep_on_the_twin_equals_the_fraction_route():
+    """Witness, count and defect; the defect is quadratic in the table, so
+    it is rescaled by 1/D^2."""
+    kinds = set()
+    for ps, holds in _rational_structures():
+        kinds.add((ps.kind, holds))
+        r = jacobi_sweep(ps)
+        assert r.holds == holds
+        assert (r.tuples, r.witness, r.defect) == _fraction_sweep(ps)
+    assert len(kinds) == 8
+
+
+def test_brackets_on_the_twin_equal_the_fraction_route():
+    """poisson_eval, trace_bracket and matrix_tensor_bracket in both
+    conventions, untwisted and flip-twisted, with rational arguments."""
+    A = two_gen()
+    x, y = xy(A)
+    structures = [ps for ps, _ in _rational_structures()]
+    structures.append(induce(_scaled(twisted_ctr(A), Fraction(3, 2)), 2))
+    a, b = x * y.scale(Fraction(1, 3)) - y, x * x + y * x.scale(-2)
+    for ps in structures:
+        ma, mb = eval_nc(a, ps.n), eval_nc(b, ps.n)
+        f, g = ma.entry(1, 2) * mb.entry(2, 1), ma.trace() + mb.entry(1, 1)
+        assert poisson_eval(ps, f, g) == _fraction_bracket(ps, f, g)
+        assert trace_bracket(ps, a, b) == \
+            _fraction_bracket(ps, ma.trace(), mb.trace())
+        rng = range(1, ps.n + 1)
+        for convention in ("vdb", "tensor"):
+            expect = {}
+            for i, j, k, l in itertools.product(rng, repeat=4):
+                br = _fraction_bracket(ps, ma.entry(i, j), mb.entry(k, l))
+                if not br.is_zero():
+                    expect[(k, j, i, l) if convention == "vdb"
+                           else (i, j, k, l)] = br
+            got = matrix_tensor_bracket(ps, convention, a, b)
+            assert got == expect and list(got) == list(expect)
+            assert got
+
+
+def test_a_finished_structure_is_freed_without_the_cyclic_collector():
+    """No structure holds a reference cycle, so its twin goes with it."""
+    A = two_gen()
+    x, y = xy(A)
+    gc.disable()
+    try:
+        for lam in (1, Fraction(3, 2)):
+            ps = induce(right_const(A, lam), 2)
+            assert (ps._twin is None) == (lam == 1)
+            assert jacobi_sweep(ps).holds
+            trace_bracket(ps, x * y, y)
+            matrix_tensor_bracket(ps, "vdb", x, y * y)
+            ref = weakref.ref(ps)
+            del ps
+            assert ref() is None
+    finally:
+        gc.enable()

@@ -15,9 +15,10 @@ from fractions import Fraction
 
 import pytest
 
-from dbrackets import (CPoly, MatTensor2, casimir, check_entry_jacobi,
-                       cybe_defect, entry_bracket, format_mat_tensor2,
-                       parse_mat_tensor2, standard_r)
+from dbrackets import (CPoly, EntryBracket, MatTensor2, casimir,
+                       check_entry_jacobi, cybe_defect, entry_bracket,
+                       format_mat_tensor2, parse_mat_tensor2, repspace,
+                       standard_r)
 from dbrackets.cli import main, run_text
 from dbrackets.ybe import MAX_MATRIX_SIZE
 
@@ -134,6 +135,29 @@ def test_entry_jacobi_fails_for_standard_r():
         r = check_entry_jacobi(entry_bracket(standard_r(n)))
         assert not r.holds
         assert r.tuples == tuples  # the count includes the witness
+
+
+def test_entry_sweep_evaluates_increasing_triples(monkeypatch):
+    """An antisymmetric entry table: the sweep covers all N^6 triples but
+    evaluates the C(N^2, 3) strictly increasing ones."""
+    calls = []
+    real = repspace.jacobi_defect
+    monkeypatch.setattr(repspace, "jacobi_defect",
+                        lambda *args: calls.append(args) or real(*args))
+    r = check_entry_jacobi(entry_bracket(MatTensor2(4, {(1, 2, 1, 2): 1})))
+    assert r.holds and r.tuples == 4 ** 6 and len(calls) == 560
+    calls.clear()
+    r = check_entry_jacobi(entry_bracket(standard_r(3)))
+    assert r.tuples == 13 and len(calls) == 2
+
+
+def test_entry_sweep_of_a_table_that_is_not_antisymmetric_is_full():
+    """{v, v} = v fails antisymmetry; its only failing triple repeats v,
+    which the increasing sweep would never visit."""
+    v = CPoly.var((0, 1, 1))
+    r = check_entry_jacobi(EntryBracket(1, {((1, 1), (1, 1)): v}))
+    assert not r.holds and r.tuples == 1
+    assert r.witness == ("v[1,1]",) * 3 and r.defect == v.scale(3)
 
 
 def test_cybe_implies_entry_jacobi_on_random_solutions():
