@@ -23,7 +23,7 @@ from .freealg import FreeAlgebra
 from .gradient import classify
 from .parsing import (ParseError, SessionSpec, parse_integer, parse_poly,
                       parse_rational, parse_session)
-from .repspace import (entry_name, induce, jacobi_sweep, matrix_tensor_bracket,
+from .repspace import (induce, jacobi_sweep, matrix_tensor_bracket,
                        trace_bracket)
 from .ybe import (MAX_MATRIX_SIZE, check_entry_jacobi, cybe_defect,
                   entry_bracket, format_mat_tensor2, parse_mat_tensor2,
@@ -145,50 +145,52 @@ def _cmd_jacobiator(session, args, rep):
     rep.say(f"jacobiator({a}, {b}, {c}) = {value}", jacobiator=str(value))
 
 
+# rep subject -> (polynomial arguments after N, options, usage)
+_REP_ARGS = {
+    "induce": (0, {}, "rep induce needs the matrix size"),
+    "jacobi": (0, {}, "rep jacobi needs the matrix size"),
+    "trace-bracket": (2, {}, "rep trace-bracket needs: N a b"),
+    "tensor": (2, {"--convention": str}, "rep tensor needs: N a b"),
+}
+
+
 def _cmd_rep(session, args, rep):
     if not args:
         raise CommandError("rep needs a subject: induce | jacobi | "
                            "trace-bracket | tensor")
     what, rest = args[0], args[1:]
+    if what not in _REP_ARGS:
+        raise CommandError(f"unknown rep command {what!r}")
+    arity, spec, usage = _REP_ARGS[what]
+    pos, opts = _opts(rest, spec, 1 + arity, usage)
+    n = parse_integer(pos[0])
+    polys = _parse_args_polys(session, pos[1:], arity)
+    ps = induce(_need_bracket(session), n)
+    name = ps.format_entry
     if what == "induce":
-        pos, _ = _opts(rest, {}, 1, "rep induce needs the matrix size")
-        n = parse_integer(pos[0])
-        ps = induce(_need_bracket(session), n)
         rep.say(f"induced structure, kind {ps.kind}, n={n}", kind=str(ps.kind), n=n)
         for (v, w), p in sorted(ps.table.items()):
-            body = p.to_str(lambda u: entry_name(ps.alg, u))
-            rep.say(f"{{{entry_name(ps.alg, v)}, {entry_name(ps.alg, w)}}} = {body}",
-                    **{f"br.{entry_name(ps.alg, v)}.{entry_name(ps.alg, w)}": body})
+            body = p.to_str(name)
+            rep.say(f"{{{name(v)}, {name(w)}}} = {body}",
+                    **{f"br.{name(v)}.{name(w)}": body})
     elif what == "jacobi":
-        pos, _ = _opts(rest, {}, 1, "rep jacobi needs the matrix size")
-        r = jacobi_sweep(induce(_need_bracket(session), parse_integer(pos[0])))
+        r = jacobi_sweep(ps)
         rep.say(str(r), n=r.n, tuples_checked=r.tuples,
                 max_defect=0 if r.holds else r.defect.to_str(r.format_var))
         rep.outcome(r.holds)
     elif what == "trace-bracket":
-        pos, _ = _opts(rest, {}, 3, "rep trace-bracket needs: N a b")
-        n = parse_integer(pos[0])
-        a, b = _parse_args_polys(session, pos[1:], 2)
-        ps = induce(_need_bracket(session), n)
-        value = trace_bracket(ps, a, b)
-        body = value.to_str(lambda u: entry_name(ps.alg, u))
+        a, b = polys
+        body = trace_bracket(ps, a, b).to_str(name)
         rep.say(f"{{tr X({a}), tr X({b})}} = {body}", trace_bracket=body)
-    elif what == "tensor":
-        pos, opts = _opts(rest, {"--convention": str}, 3,
-                          "rep tensor needs: N a b")
+    else:
         convention = opts.get("--convention", "tensor")
-        n = parse_integer(pos[0])
-        a, b = _parse_args_polys(session, pos[1:], 2)
-        ps = induce(_need_bracket(session), n)
-        grid = matrix_tensor_bracket(ps, convention, a, b)
+        grid = matrix_tensor_bracket(ps, convention, *polys)
         rep.say(f"matrix tensor bracket, convention {convention}, n={n}",
                 convention=convention, n=n)
         for (i, j, k, l), p in sorted(grid.items()):
-            body = p.to_str(lambda u: entry_name(ps.alg, u))
+            body = p.to_str(name)
             rep.say(f"E[{i},{j}](x)E[{k},{l}]: {body}",
                     **{f"E{i}{j}.E{k}{l}": body})
-    else:
-        raise CommandError(f"unknown rep command {what!r}")
 
 
 def _read(path) -> str:

@@ -59,33 +59,26 @@ class CPoly(LinComb):
     def __mul__(self, other):
         if not isinstance(other, CPoly):
             return self.scale(other)
-        data = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _tadd(data, _mono_mul(m1, m2), c1 * c2)
-        return CPoly(data)
+        return self._product(other, _mono_mul)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined in a polynomial ring")
-        out = CPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
+    def _one(self):
+        return CPoly.one()
 
     def degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=-1)
 
-    def partials(self) -> list:
-        """[(v, the partial derivative by v)] for the variables v of self,
-        sorted by v, from one pass over the terms."""
+    def partials(self, twist: Optional[Callable] = None) -> list:
+        """[(v, t(the partial derivative by v))] for the variables v of
+        self, sorted by v, from one pass over the terms: the plain partials
+        when the twist t is None."""
         data = {}
         for m, c in self.terms.items():
             for idx, (v, e) in enumerate(m):
                 rest = m[:idx] + ((v, e - 1),) + m[idx + 1:] if e > 1 \
                     else m[:idx] + m[idx + 1:]
                 _tadd(data.setdefault(v, {}), rest, c * e)
-        return [(v, CPoly(data[v])) for v in sorted(data)]
+        parts = [(v, CPoly(data[v])) for v in sorted(data)]
+        return parts if twist is None else [(v, twist(p)) for v, p in parts]
 
     def substitute(self, mapping: Callable) -> "CPoly":
         """Ring homomorphism determined by variable images mapping(v) -> CPoly."""
@@ -116,10 +109,7 @@ def poisson_biderivation(table: Callable, f: CPoly, g: CPoly,
     ``twist`` is provided it is applied to both partial derivatives, which
     realises the twisted Leibniz rules {f, gh} = t(g){f,h} + {f,g}t(h).
     """
-    g_partials, f_partials = g.partials(), f.partials()
-    if twist is not None:
-        g_partials = [(w, twist(gw)) for w, gw in g_partials]
-        f_partials = [(v, twist(fv)) for v, fv in f_partials]
+    g_partials, f_partials = g.partials(twist), f.partials(twist)
     data = {}
     for v, fv in f_partials:
         for w, gw in g_partials:
@@ -128,3 +118,8 @@ def poisson_biderivation(table: Callable, f: CPoly, g: CPoly,
                 continue
             (fv * gw * br).add_into(data)
     return CPoly(data)
+
+
+def cyclic_jacobi(br: Callable, f, g, h):
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} for the bracket ``br``."""
+    return br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .bimodule import Bimodule, BimodKind, act, swap_bimodule
-from .commpoly import CPoly, poisson_biderivation
+from .commpoly import CPoly, cyclic_jacobi, poisson_biderivation
 from .freealg import (AlgEndo, NCPoly, Necklace, Tensor2, Tensor3, P12, P123,
-                      P132, TRANSPOSITIONS, _deglex, _first_failure, _nonzero,
-                      _tadd, apply_endo_tensor2, necklace_project, perm_invert,
+                      P132, TRANSPOSITIONS, _deglex, _expand, _first_failure,
+                      _integer_twin, _integral, _nonzero, _rescaled, _tadd,
+                      apply_endo_tensor2, necklace_project, perm_invert,
                       tensor3_perm, transposition)
 
 JAC_FORMS = ("left", "mixed", "right", "pair-right")
@@ -41,20 +40,8 @@ class DoubleBracket:
     fills in each reverse pair by cyclic antisymmetry, table[j, i] =
     -swap(table[i, j]), and raises where a given entry disagrees;
     ``from_full_table_unchecked`` takes the entries as they are (to study
-    operations that fail antisymmetry).
-
-    A table with non-integral entries keeps a hidden integer twin: the
-    same bimodule, with the table times D, the lcm of the entries'
-    denominators, stored as ``int``s.  The Leibniz extension is linear in
-    the table and the Jacobiators are quadratic in it, so the public
-    entries compute on the twin's memos and rescale only what they return:
-    ``eval_bracket``, the four ``bracket_*`` maps and the values of a
-    ``check_antisymmetry`` witness by 1/D; ``jacobiator``,
-    ``jacobiator_form``, ``weak_jacobiator`` and a verdict's defect by
-    1/D^2.  Whether a value is zero does not depend on the scale, so sweep
-    order, witnesses and counts are those of the table itself.  An
-    integral table has no twin, and a twin never refers back to its
-    bracket, so a bracket's memos go with it.
+    operations that fail antisymmetry).  A non-integral table keeps a
+    hidden integer twin (``freealg._integer_twin``).
     """
 
     __slots__ = ("bimodule", "gen_table", "alg", "_star",
@@ -84,15 +71,9 @@ class DoubleBracket:
         self._star = swap_bimodule(bimodule)
         self._eval_cache = {}
         self._jac_cache = {}
-        self._twin = self._inv = None
-        den = math.lcm(*(c.denominator for d in table.values()
-                         for c in d.terms.values()))
-        if den > 1:  # the table times den as ints; scale would keep Fractions
-            self._twin = DoubleBracket(bimodule, {key: Tensor2(alg, {
-                w: c.numerator * (den // c.denominator)
-                for w, c in d.terms.items()}) for key, d in table.items()},
-                validate=False)
-            self._inv = Fraction(1, den)
+        twin, self._inv = _integer_twin(table)
+        self._twin = (None if twin is None
+                      else DoubleBracket(bimodule, twin, validate=False))
 
     @classmethod
     def from_pairs(cls, bimodule: Bimodule, entries: dict) -> "DoubleBracket":
@@ -149,21 +130,6 @@ def _unit_word(p: NCPoly):
     return None
 
 
-def _integral(db: DoubleBracket):
-    """The bracket whose memos compute db's values, and the factor 1/D that
-    takes a value linear in its table back to db (None when D = 1)."""
-    return (db, None) if db._twin is None else (db._twin, db._inv)
-
-
-def _rescaled(t, inv, power: int = 1):
-    """t times inv**power, for a value of degree ``power`` in the twin's
-    table; t itself when there is no twin."""
-    if inv is None:
-        return t
-    f = inv if power == 1 else inv ** power
-    return t._like({key: c * f for key, c in t.terms.items()})
-
-
 def _eval_words(db: DoubleBracket, u, v) -> Tensor2:
     """<<u, v>> for words u, v by the Leibniz rules, memoised per bracket.
 
@@ -192,20 +158,27 @@ def _eval_words(db: DoubleBracket, u, v) -> Tensor2:
     return out
 
 
+def _multilinear(db: DoubleBracket, of_words, polys, cls):
+    """The multilinear extension of ``of_words``, a function of one word
+    per polynomial, to ``polys``, as an element of ``cls``; on unit
+    monomials, the value of ``of_words`` itself."""
+    for p in polys:
+        db.alg._check(p)
+    words = tuple(map(_unit_word, polys))
+    if None not in words:
+        return of_words(*words)
+    data = {}
+    for keys, c in _expand({}, polys, 1).items():
+        of_words(*keys).add_into(data, c)
+    return cls(db.alg, data)
+
+
 def eval_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly) -> Tensor2:
     """Bilinear extension of the generator table by the Leibniz rules; on
     two unit monomials, the memoised value itself."""
-    db.alg._check(a)
-    db.alg._check(b)
     db, inv = _integral(db)
-    u, v = _unit_word(a), _unit_word(b)
-    if u is not None and v is not None:
-        return _rescaled(_eval_words(db, u, v), inv)
-    data = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            _eval_words(db, u, v).add_into(data, cu * cv)
-    return _rescaled(Tensor2(db.alg, data), inv)
+    return _rescaled(_multilinear(
+        db, lambda u, v: _eval_words(db, u, v), (a, b), Tensor2), inv)
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +236,6 @@ def _cyclic(term, a, b, c) -> Tensor3:
             + tensor3_perm(P132, term(c, a, b)))
 
 
-def _trilinear(db: DoubleBracket, of_words, a, b, c) -> Tensor3:
-    """The trilinear extension of ``of_words(u, v, w)`` to polynomials; on
-    three unit monomials, the value of ``of_words`` itself."""
-    for p in (a, b, c):
-        db.alg._check(p)
-    words = tuple(map(_unit_word, (a, b, c)))
-    if None not in words:
-        return of_words(*words)
-    data = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            for w, cw in c.terms.items():
-                of_words(u, v, w).add_into(data, cu * cv * cw)
-    return Tensor3(db.alg, data)
-
-
 def _first_rotation(t):
     """The rotation of the triple t = (a, b, c) that comes first in tuple
     order, and the permutation that carries a cyclic form's value there to
@@ -322,8 +279,9 @@ def _jac_words(db: DoubleBracket, u, v, w) -> Tensor3:
 def jacobiator(db: DoubleBracket, a: NCPoly, b: NCPoly, c: NCPoly) -> Tensor3:
     """The cyclic sum <<a,<<b,c>>>>_L + perms, valued in the tensor cube."""
     db, inv = _integral(db)
-    return _rescaled(_trilinear(
-        db, lambda u, v, w: _jac_words(db, u, v, w), a, b, c), inv, 2)
+    return _rescaled(_multilinear(
+        db, lambda u, v, w: _jac_words(db, u, v, w), (a, b, c), Tensor3),
+        inv, 2)
 
 
 def jacobiator_form(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
@@ -394,8 +352,9 @@ def weak_jacobiator(db: DoubleBracket, sigma, sigma_prime, a, b, c) -> Tensor3:
     s = transposition(sigma)
     sp = transposition(sigma_prime)
     db, inv = _integral(db)
-    return _rescaled(_trilinear(
-        db, lambda u, v, w: _weak_words(db, s, sp, u, v, w), a, b, c), inv, 2)
+    return _rescaled(_multilinear(
+        db, lambda u, v, w: _weak_words(db, s, sp, u, v, w), (a, b, c),
+        Tensor3), inv, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +457,10 @@ def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
 
 def _weak_words(db, s, sp, u, v, w) -> Tensor3:
     """J(u,v,w) minus its conjugate by (s, sp); the two are compared as
-    dicts first, so only a witness pays for the subtraction."""
+    dicts first, so only a witness pays for the subtraction.  The
+    transposition s is its own inverse."""
     jac = _jac_words(db, u, v, w)
-    other = tensor3_perm(perm_invert(s),
-                         _jac_words(db, *permute_args(sp, (u, v, w))))
+    other = tensor3_perm(s, _jac_words(db, *permute_args(sp, (u, v, w))))
     return Tensor3(db.alg, {}) if jac.terms == other.terms else jac - other
 
 
@@ -820,5 +779,4 @@ def sym_jacobi_defect(db: DoubleBracket, na: Necklace, nb: Necklace,
         return poisson_biderivation(
             functools.partial(sym_necklace_bracket, db), f, g)
 
-    fa, fb, fc = CPoly.var(na), CPoly.var(nb), CPoly.var(nc)
-    return pb(fa, pb(fb, fc)) + pb(fb, pb(fc, fa)) + pb(fc, pb(fa, fb))
+    return cyclic_jacobi(pb, CPoly.var(na), CPoly.var(nb), CPoly.var(nc))

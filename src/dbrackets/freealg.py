@@ -23,6 +23,7 @@ The two forms compare, hash and print alike.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -110,6 +111,43 @@ def _nonzero(value):
     return None if value.is_zero() else value
 
 
+def _integer_twin(table: dict):
+    """The table times D, the lcm of its values' denominators, with ``int``
+    coefficients, and 1/D; (None, None) when D = 1.
+
+    A ``DoubleBracket`` or ``PoissonStructure`` with a non-integral table
+    keeps a hidden twin built on this table: the same structure with the
+    table times D, which never refers back to its source.  Brackets are
+    linear in the table and Jacobiators quadratic, so the public entries
+    compute on the twin's memos and rescale only what they return, by 1/D
+    or 1/D^2 (``_rescaled``).  Whether a value is zero does not depend on
+    the scale, so a sweep's order, witness and count are the table's own.
+    """
+    den = math.lcm(*(c.denominator for value in table.values()
+                     for c in value.terms.values()))
+    if den == 1:
+        return None, None
+    # the numerators as ints; scale would keep Fractions
+    return {key: value._like({k: c.numerator * (den // c.denominator)
+                              for k, c in value.terms.items()})
+            for key, value in table.items()}, Fraction(1, den)
+
+
+def _integral(s):
+    """The structure whose memos compute s's values, and the factor 1/D
+    that takes a value linear in its table back to s (None when D = 1)."""
+    return (s, None) if s._twin is None else (s._twin, s._inv)
+
+
+def _rescaled(t, inv, power: int = 1):
+    """t times inv**power, for a value of degree ``power`` in the twin's
+    table; t itself when there is no twin or t is zero."""
+    if inv is None or not t.terms:
+        return t
+    f = inv if power == 1 else inv ** power
+    return t._like({key: c * f for key, c in t.terms.items()})
+
+
 class LinComb:
     """A finite map ``terms`` from basis keys to nonzero rationals, each an
     ``int`` or a ``Fraction`` and never a ``float``.
@@ -170,6 +208,24 @@ class LinComb:
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
+
+    def _product(self, other, key_mul):
+        """The bilinear product whose basis keys multiply by ``key_mul``."""
+        data = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                _tadd(data, key_mul(k1, k2), c1 * c2)
+        return self._like(data)
+
+    def __pow__(self, n: int):
+        """The n-th power by repeated multiplication from ``_one()``, for
+        subclasses with a unit."""
+        if n < 0:
+            raise ValueError("negative powers are not defined")
+        out = self._one()
+        for _ in range(n):
+            out = out * self
+        return out
 
     def __eq__(self, other):
         return (type(other) is type(self) and self._space() == other._space()
@@ -321,11 +377,7 @@ def _expand(data: dict, factors, coeff) -> dict:
 def _slotwise_mul(s, t):
     """Componentwise product of tensors: words multiply slot by slot."""
     s._check(t)
-    data = {}
-    for k1, c1 in s.terms.items():
-        for k2, c2 in t.terms.items():
-            _tadd(data, tuple(map(operator.add, k1, k2)), c1 * c2)
-    return s._like(data)
+    return s._product(t, lambda k1, k2: tuple(map(operator.add, k1, k2)))
 
 
 def _deglex(w: Word):
@@ -380,13 +432,8 @@ class NCPoly(_OverAlgebra):
             return poly_mul(self, other)
         return self.scale(other)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined in a free algebra")
-        out = self.alg.one()
-        for _ in range(n):
-            out = out * self
-        return out
+    def _one(self):
+        return self.alg.one()
 
     def degree(self) -> int:
         """Maximal word length; -1 for the zero element."""
@@ -406,11 +453,7 @@ class NCPoly(_OverAlgebra):
 def poly_mul(p: NCPoly, q: NCPoly) -> NCPoly:
     """Exact product in the free algebra (concatenation of words)."""
     p.alg._check(q)
-    data = {}
-    for u, cu in p.terms.items():
-        for v, cv in q.terms.items():
-            _tadd(data, u + v, cu * cv)
-    return NCPoly(p.alg, data)
+    return p._product(q, operator.add)
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +493,18 @@ def tensor2_alg_mul(d: Tensor2, e: Tensor2) -> Tensor2:
     return _slotwise_mul(d, e)
 
 
+# sigma -> the 0-based positions sigma^{-1}(1), sigma^{-1}(2), sigma^{-1}(3)
+_INVERSE_SLOTS = {s: tuple(i - 1 for i in perm_invert(s))
+                  for s in itertools.permutations((1, 2, 3))}
+
+
 def tensor3_perm(sigma, t: Tensor3) -> Tensor3:
     """Left S_3-action: factor i of the result is factor sigma^{-1}(i) of t."""
     sigma = tuple(sigma)
-    if sorted(sigma) != [1, 2, 3]:
+    slots = _INVERSE_SLOTS.get(sigma)
+    if slots is None:
         raise ValueError(f"not a permutation of {{1,2,3}}: {sigma}")
-    inv = perm_invert(sigma)
-    i0, i1, i2 = inv[0] - 1, inv[1] - 1, inv[2] - 1
+    i0, i1, i2 = slots
     return Tensor3(t.alg, {(k[i0], k[i1], k[i2]): c for k, c in t.terms.items()})
 
 

@@ -12,20 +12,25 @@ two matrix-tensor notations.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .bimodule import BimodKind
-from .commpoly import CPoly, poisson_biderivation
-from .dbracket import DoubleBracket, _integral, _rescaled
+from .commpoly import CPoly, cyclic_jacobi, poisson_biderivation
+from .dbracket import DoubleBracket
 from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Necklace, _first_failure,
-                      _nonzero, _word_image)
+                      _integer_twin, _integral, _nonzero, _rescaled, _word_image)
 
 # entry variables are (generator index, row, col) with 1-based row/col
 EntryVar = tuple
+
+# The most entry variables, g*n^2 for g generators at size n, that
+# ``induce`` builds a ring on.  A Jacobi sweep covers their cube: 32 768
+# triples at 2 generators and n = 4, where ``rep jacobi 4`` of the outer
+# bracket <g,g> = g (x) 1 - 1 (x) g takes about 1.2 s on one core.
+MAX_ENTRY_VARIABLES = 32
 
 
 def entry_name(alg: FreeAlgebra, v: EntryVar) -> str:
@@ -139,19 +144,9 @@ class PoissonStructure:
     identity twist is stored as None), else the algebra endomorphism whose
     entrywise action twists the Leibniz rules; ``twist_images`` then maps
     each entry variable to its image under that action (None when
-    untwisted).  Nothing changes after construction.
-
-    A table with non-integral entries keeps a hidden integer twin, as a
-    ``DoubleBracket`` does: a structure with the same ring, kind and twist
-    whose table is the table times D, the lcm of the entries'
-    denominators, stored as ``int``s.  The biderivation extension is
-    linear in the table and the Jacobi defect quadratic, so
-    ``poisson_eval``, ``trace_bracket``, ``matrix_tensor_bracket``,
-    ``jacobi_defect`` and ``jacobi_sweep`` compute on the twin and rescale
-    only what they return: brackets by 1/D, defects (a sweep's witness
-    defect among them) by 1/D^2.  Whether a defect is zero does not depend
-    on the scale, so a sweep's witness and count are the table's own.
-    ``table`` is kept as given, and the twin never refers back.
+    untwisted).  Nothing changes after construction.  ``table`` is kept as
+    given; a non-integral one keeps a hidden integer twin
+    (``freealg._integer_twin``).
     """
 
     __slots__ = ("alg", "n", "kind", "twist", "table", "twist_images",
@@ -167,15 +162,9 @@ class PoissonStructure:
         self.twist = twist
         self.table = table
         self.twist_images = None if twist is None else _entry_images(twist, n)
-        self._twin = self._inv = None
-        den = math.lcm(*(c.denominator for p in table.values()
-                         for c in p.terms.values()))
-        if den > 1:  # the table times den as ints; scale would keep Fractions
-            self._twin = PoissonStructure(alg, n, kind, {key: CPoly({
-                m: c.numerator * (den // c.denominator)
-                for m, c in p.terms.items()}) for key, p in table.items()},
-                twist)
-            self._inv = Fraction(1, den)
+        twin, self._inv = _integer_twin(table)
+        self._twin = (None if twin is None
+                      else PoissonStructure(alg, n, kind, twin, twist))
 
     def variables(self) -> list:
         return [(g, i, j) for g in range(self.alg.ngens)
@@ -207,9 +196,13 @@ def induce(db: DoubleBracket, n: int) -> PoissonStructure:
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
+    alg, kind = db.alg, db.kind()
+    if alg.ngens * n * n > MAX_ENTRY_VARIABLES:
+        raise ValueError(
+            f"Rep(A, {n}) of {alg.ngens} generator(s) has {alg.ngens * n * n} "
+            f"entry variables, above the largest, {MAX_ENTRY_VARIABLES}")
     if db.bimodule.alpha != db.bimodule.beta:
         raise ValueError("inducing on matrix entries needs equal twists")
-    alg, kind = db.alg, db.kind()
     table = {}
     rng = range(1, n + 1)
     for (gi, gj), d in db.gen_table.items():
@@ -233,13 +226,6 @@ def _twist_of(ps: PoissonStructure):
     return None if ps.is_untwisted() else ps._twist_poly
 
 
-def _partials(f: CPoly, twist) -> list:
-    """[(v, t(df/dv))] for the variables v of f, as ``poisson_biderivation``
-    takes them: the plain partials when ``twist`` is None."""
-    parts = f.partials()
-    return parts if twist is None else [(v, twist(fv)) for v, fv in parts]
-
-
 def poisson_eval(ps: PoissonStructure, f: CPoly, g: CPoly) -> CPoly:
     """Extend the entry table to polynomials by the biderivation rules."""
     ps, inv = _integral(ps)
@@ -254,9 +240,7 @@ def jacobi_defect(ps: PoissonStructure, f: CPoly, g: CPoly, h: CPoly) -> CPoly:
 
     def br(p, q):
         return poisson_biderivation(table, p, q, twist=twist)
-    defect = br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
-    # a sweep's defects are mostly zero, and zero needs no rescaling
-    return _rescaled(defect, inv, 2) if defect.terms else defect
+    return _rescaled(cyclic_jacobi(br, f, g, h), inv, 2)
 
 
 @dataclass
@@ -342,10 +326,10 @@ def matrix_tensor_bracket(ps: PoissonStructure, convention: str,
     n = ps.n
     ps, inv = _integral(ps)
     twist = _twist_of(ps)
-    a_partials = [[_partials(p, twist) for p in row]
+    a_partials = [[p.partials(twist) for p in row]
                   for row in eval_nc(a, n).rows]
     variables = {v for row in a_partials for parts in row for v, _ in parts}
-    fields = [[_hamiltonian_field(ps, variables, _partials(p, twist))
+    fields = [[_hamiltonian_field(ps, variables, p.partials(twist))
                for p in row] for row in eval_nc(b, n).rows]
     out = {}
     for i, a_row in enumerate(a_partials, 1):

@@ -155,6 +155,17 @@ def test_rep_commands():
     assert "Jacobi identity holds" in out
 
 
+def test_rep_refuses_a_ring_above_the_variable_bound():
+    out, code = run_text(VDB_SESSION.replace("check poisson\n", "")
+                         + "rep induce 2\nrep jacobi 50\n")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[-1] == ("error: Rep(A, 50) of 2 generator(s) has 5000 "
+                         "entry variables, above the largest, 32")
+    assert sum(line.startswith("error:") for line in lines) == 1
+    assert "{x[1,1], x[1,2]}" in out  # the output of rep induce 2 is kept
+
+
 def test_jacobiator_command_output():
     text = (TWISTED_SESSION.replace("check poisson\n", "")
             + "jacobiator x y y\n")

@@ -85,6 +85,25 @@ def test_tensor3_perm_is_left_action():
                 tensor3_perm(perm_compose(s, r), t)
 
 
+@pytest.mark.parametrize("sigma", [(1, 1, 2), (1, 2), (0, 1, 2),
+                                   (1, 2, 3, 4), (2, 3, 4)])
+def test_tensor3_perm_refuses_a_non_permutation(sigma):
+    A = two_gen()
+    x, y = xy(A)
+    with pytest.raises(ValueError, match="not a permutation of"):
+        tensor3_perm(sigma, A.t3(x, y, x))
+
+
+def test_tensor3_perm_takes_any_sequence_of_the_six():
+    A = FreeAlgebra(["x", "y", "z"])
+    x, y, z = A.gens()
+    t = A.t3(x, y, z) + A.t3(z, z, A.one()).scale(Fraction(-1, 3))
+    for s in itertools.permutations((1, 2, 3)):
+        assert tensor3_perm(list(s), t) == tensor3_perm(s, t)
+    # factor i of the result is factor sigma^{-1}(i) of t
+    assert tensor3_perm([2, 3, 1], A.t3(x, y, z)) == A.t3(z, x, y)
+
+
 def test_tensor2_alg_mul():
     A = two_gen()
     x, y = xy(A)

@@ -14,7 +14,9 @@ from dbrackets import (AlgEndo, Bimodule, BimodKind, CPoly, DoubleBracket,
                        jacobi_sweep, matrix_tensor_bracket, mult_bracket,
                        poisson_biderivation, poisson_eval, swap_equivalent,
                        trace_bracket)
-from dbrackets.repspace import PoissonStructure
+from dbrackets import repspace
+from dbrackets.repspace import MAX_ENTRY_VARIABLES, PoissonStructure
+from dbrackets.ybe import casimir, entry_bracket
 
 from helpers import (monomials, outer_generic, outer_poisson,
                      right_const, right_generic, twisted_ctr, two_gen, xy)
@@ -734,3 +736,55 @@ def test_a_finished_structure_is_freed_without_the_cyclic_collector():
             assert ref() is None
     finally:
         gc.enable()
+
+
+def _one_generator_bracket(kind):
+    """<v,v> = v (x) 1 - 1 (x) v on one generator v."""
+    A = FreeAlgebra(["v"])
+    v = A.gen(0)
+    return DoubleBracket.from_pairs(Bimodule(kind, alg=A), {
+        ("v", "v"): A.t2(v, A.one()) - A.t2(A.one(), v)})
+
+
+def test_induce_admits_rings_up_to_the_variable_bound():
+    assert MAX_ENTRY_VARIABLES == 32  # 2 generators at n = 4
+    assert len(induce(outer_poisson(two_gen()), 4).variables()) == 32
+    db = _one_generator_bracket("outer")
+    assert len(induce(db, 5).variables()) == 25
+    with pytest.raises(ValueError, match="36 entry variables, above the "
+                                         "largest, 32"):
+        induce(db, 6)
+
+
+def test_induce_refuses_a_large_ring_before_any_work():
+    A = FreeAlgebra(["p", "q"])
+    db = DoubleBracket.from_pairs(Bimodule("outer", alg=A),
+                                  {("p", "q"): A.unit2()})
+    with pytest.raises(ValueError, match=r"Rep\(A, 50\) of 2 generator\(s\) "
+                                         r"has 5000 entry variables"):
+        induce(db, 50)
+    with pytest.raises(ValueError, match="3 generator"):
+        induce(DoubleBracket.zero(Bimodule("right", alg=FreeAlgebra(
+            ["a", "b", "c"]))), 4)
+    assert not [key for key in repspace._WORD_CACHE if key[0] == A.names]
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("kind,sign", [("outer", 1), ("inner", -1)])
+def test_tensor_notation_ties_induce_entry_bracket_and_tensor_grid(
+        kind, sign, N):
+    """<v,v> = v (x) 1 - 1 (x) v induces sign/2 times the entry bracket of
+    P = casimir(N), and its "tensor" grid is {X (x), X} = sign [P, X (x) 1]:
+    delta_il x_kj - delta_jk x_il at E_ij (x) E_kl."""
+    ps = induce(_one_generator_bracket(kind), N)
+    entry = entry_bracket(casimir(N)).poisson_structure().table
+    assert ps.table == {key: p.scale(Fraction(sign, 2))
+                        for key, p in entry.items()}
+    v = ps.alg.gen(0)
+    expected = {}
+    for i, j, k, l in itertools.product(range(1, N + 1), repeat=4):
+        p = ((var(0, k, j) if i == l else CPoly.zero())
+             - (var(0, i, l) if j == k else CPoly.zero()))
+        if not p.is_zero():
+            expected[(i, j, k, l)] = p.scale(sign)
+    assert matrix_tensor_bracket(ps, "tensor", v, v) == expected
