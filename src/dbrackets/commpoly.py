@@ -35,6 +35,7 @@ class CPoly(LinComb):
 
     __slots__ = ("terms",)
     _key_order = staticmethod(_mono_order)
+    _key_mul = staticmethod(_mono_mul)
 
     def __init__(self, terms: Optional[dict] = None):
         self.terms = terms if terms is not None else {}
@@ -55,11 +56,6 @@ class CPoly(LinComb):
     @staticmethod
     def var(v, exp: int = 1) -> "CPoly":
         return CPoly({((v, exp),): 1}) if exp else CPoly.one()
-
-    def __mul__(self, other):
-        if not isinstance(other, CPoly):
-            return self.scale(other)
-        return self._product(other, _mono_mul)
 
     def _one(self):
         return CPoly.one()
@@ -120,6 +116,9 @@ def poisson_biderivation(table: Callable, f: CPoly, g: CPoly,
     return CPoly(data)
 
 
-def cyclic_jacobi(br: Callable, f, g, h):
-    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} for the bracket ``br``."""
+def cyclic_jacobi(table: Callable, f, g, h, twist=None) -> CPoly:
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} for the bracket that
+    ``poisson_biderivation`` extends from ``table`` with ``twist``."""
+    def br(p, q):
+        return poisson_biderivation(table, p, q, twist)
     return br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))

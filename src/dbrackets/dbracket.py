@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .bimodule import Bimodule, BimodKind, act, swap_bimodule
-from .commpoly import CPoly, cyclic_jacobi, poisson_biderivation
+from .commpoly import CPoly, cyclic_jacobi
 from .freealg import (AlgEndo, NCPoly, Necklace, Tensor2, Tensor3, P12, P123,
-                      P132, TRANSPOSITIONS, _deglex, _expand, _first_failure,
-                      _integer_twin, _integral, _nonzero, _rescaled, _tadd,
-                      apply_endo_tensor2, necklace_project, perm_invert,
-                      tensor3_perm, transposition)
+                      P132, TRANSPOSITIONS, _apply_slotwise, _deglex, _expand,
+                      _first_failure, _integer_twin, _integral,
+                      _inverse_slots, _nonzero, _rescaled, _tadd,
+                      apply_endo_tensor2, necklace_project, tensor3_perm,
+                      transposition)
 
 JAC_FORMS = ("left", "mixed", "right", "pair-right")
 
@@ -338,8 +339,8 @@ def jacobiator_form(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
 
 def permute_args(sigma, args: tuple) -> tuple:
     """Permute a triple of arguments the way tensor factors are permuted."""
-    inv = perm_invert(sigma)
-    return (args[inv[0] - 1], args[inv[1] - 1], args[inv[2] - 1])
+    i0, i1, i2 = _inverse_slots(sigma)
+    return (args[i0], args[i1], args[i2])
 
 
 def weak_jacobiator(db: DoubleBracket, sigma, sigma_prime, a, b, c) -> Tensor3:
@@ -693,17 +694,6 @@ def loday_defect(db: DoubleBracket, side: str, a, b, c) -> NCPoly:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def _endo_slot(alpha: AlgEndo, t: Tensor3, slot: int) -> Tensor3:
-    data = {}
-    for key, c in t.terms.items():
-        img = alpha.apply_word(key[slot])
-        for w, cw in img.terms.items():
-            nk = list(key)
-            nk[slot] = w
-            _tadd(data, tuple(nk), c * cw)
-    return Tensor3(t.alg, data)
-
-
 def twisted_jacobiator(db: DoubleBracket, side: str, alpha: AlgEndo,
                        a, b, c) -> Tensor3:
     """Jacobiator with a twist applied inside each cyclic summand.
@@ -714,11 +704,12 @@ def twisted_jacobiator(db: DoubleBracket, side: str, alpha: AlgEndo,
     version matches it after conjugation by the (12) factor swap.
     """
     if side == "left":
-        return _cyclic(lambda x, y, z: _endo_slot(alpha, bracket_left(
-            db, x, eval_bracket(db, y, z)), 2), a, b, c)
+        return _cyclic(lambda x, y, z: _apply_slotwise(alpha, bracket_left(
+            db, x, eval_bracket(db, y, z)), (2,)), a, b, c)
     if side == "right":
-        return _cyclic(lambda x, y, z: _endo_slot(alpha, bracket_pair_right(
-            db, eval_bracket(db, x, y), z), 0), a, b, c)
+        return _cyclic(lambda x, y, z: _apply_slotwise(
+            alpha, bracket_pair_right(db, eval_bracket(db, x, y), z), (0,)),
+            a, b, c)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -775,8 +766,5 @@ def sym_jacobi_defect(db: DoubleBracket, na: Necklace, nb: Necklace,
     it as a biderivation, and its Jacobi defect vanishes identically when
     the underlying right-kind bracket is (12)-weak Poisson.
     """
-    def pb(f, g):
-        return poisson_biderivation(
-            functools.partial(sym_necklace_bracket, db), f, g)
-
-    return cyclic_jacobi(pb, CPoly.var(na), CPoly.var(nb), CPoly.var(nc))
+    return cyclic_jacobi(functools.partial(sym_necklace_bracket, db),
+                         CPoly.var(na), CPoly.var(nb), CPoly.var(nc))

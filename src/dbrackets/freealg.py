@@ -155,7 +155,8 @@ class LinComb:
     No zero is stored, so structural equality is mathematical equality.
     Subclasses may override ``_space`` (the ambient space; mixing spaces
     raises ValueError), ``_like`` (a new element of the same class and
-    space) and ``_key_order`` (the printing order of the keys).
+    space) and ``_key_order`` (the printing order of the keys), and give
+    ``_key_mul`` (the product of two keys) to multiply.
     """
 
     __slots__ = ()
@@ -209,12 +210,20 @@ class LinComb:
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
-    def _product(self, other, key_mul):
-        """The bilinear product whose basis keys multiply by ``key_mul``."""
+    def __mul__(self, other):
+        """The product.  With an element of the same class it is bilinear,
+        and basis keys multiply by the class's ``_key_mul``, where None
+        stands for a zero product; anything else is a scalar (``scale``)."""
+        if type(other) is not type(self):
+            return self.scale(other)
+        self._check(other)
+        key_mul = self._key_mul
         data = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                _tadd(data, key_mul(k1, k2), c1 * c2)
+                key = key_mul(k1, k2)
+                if key is not None:
+                    _tadd(data, key, c1 * c2)
         return self._like(data)
 
     def __pow__(self, n: int):
@@ -374,12 +383,6 @@ def _expand(data: dict, factors, coeff) -> dict:
     return data
 
 
-def _slotwise_mul(s, t):
-    """Componentwise product of tensors: words multiply slot by slot."""
-    s._check(t)
-    return s._product(t, lambda k1, k2: tuple(map(operator.add, k1, k2)))
-
-
 def _deglex(w: Word):
     return (len(w), w)
 
@@ -392,6 +395,8 @@ class _OverAlgebra(LinComb):
     """A linear combination whose keys are built from words of one algebra."""
 
     __slots__ = ("alg", "terms")
+    # tensors multiply componentwise, word by word in each slot
+    _key_mul = staticmethod(lambda k1, k2: tuple(map(operator.add, k1, k2)))
 
     def __init__(self, alg: FreeAlgebra, terms: dict):
         self.alg = alg
@@ -426,11 +431,7 @@ class NCPoly(_OverAlgebra):
 
     __slots__ = ()
     _key_order = staticmethod(_deglex)
-
-    def __mul__(self, other):
-        if isinstance(other, NCPoly):
-            return poly_mul(self, other)
-        return self.scale(other)
+    _key_mul = staticmethod(operator.add)  # words concatenate
 
     def _one(self):
         return self.alg.one()
@@ -452,8 +453,35 @@ class NCPoly(_OverAlgebra):
 
 def poly_mul(p: NCPoly, q: NCPoly) -> NCPoly:
     """Exact product in the free algebra (concatenation of words)."""
-    p.alg._check(q)
-    return p._product(q, operator.add)
+    return p * q
+
+
+# The expansion budgets.  The text grammar and the gradient families refuse
+# a power, product or tensor that may have more than MAX_TERMS terms or
+# words of more than MAX_WORD_LENGTH letters, before multiplying it out.
+# They admit the 729 words of (x1+x2+x3)^6 and x^1500.  A power takes one
+# product per unit of its exponent, so the exponent counts as letters even
+# on a constant.
+MAX_TERMS = 1024
+MAX_WORD_LENGTH = 2048
+
+
+def _expansion_breach(terms: int, letters: int):
+    """Why an expansion of up to ``terms`` terms, with words of up to
+    ``letters`` letters, is over the budgets; None when it is not."""
+    if letters > MAX_WORD_LENGTH:
+        return (f"{letters} letters per word, above the word-length budget "
+                f"of {MAX_WORD_LENGTH}")
+    if terms > MAX_TERMS:
+        return f"up to {terms} terms, above the term budget of {MAX_TERMS}"
+    return None
+
+
+def _power_breach(p: NCPoly, e: int):
+    """``_expansion_breach`` of p**e, from p's terms and degree alone."""
+    letters = e * max(p.degree(), 1)
+    return _expansion_breach(
+        0 if letters > MAX_WORD_LENGTH else len(p.terms) ** max(e, 0), letters)
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +494,6 @@ class Tensor2(_OverAlgebra):
     __slots__ = ()
     _key_order = staticmethod(_tensor_order)
 
-    def __mul__(self, other):
-        if isinstance(other, Tensor2):
-            return tensor2_alg_mul(self, other)
-        return self.scale(other)
-
     def swap(self) -> "Tensor2":
         """The swap automorphism of A (x) A, sending u (x) v to v (x) u."""
         return Tensor2(self.alg, {(v, u): c for (u, v), c in self.terms.items()})
@@ -482,15 +505,10 @@ class Tensor3(_OverAlgebra):
     __slots__ = ()
     _key_order = staticmethod(_tensor_order)
 
-    def __mul__(self, other):
-        if isinstance(other, Tensor3):
-            return _slotwise_mul(self, other)
-        return self.scale(other)
-
 
 def tensor2_alg_mul(d: Tensor2, e: Tensor2) -> Tensor2:
     """Componentwise multiplication (a1 (x) b1)(a2 (x) b2) = a1*a2 (x) b1*b2."""
-    return _slotwise_mul(d, e)
+    return d * e
 
 
 # sigma -> the 0-based positions sigma^{-1}(1), sigma^{-1}(2), sigma^{-1}(3)
@@ -498,13 +516,18 @@ _INVERSE_SLOTS = {s: tuple(i - 1 for i in perm_invert(s))
                   for s in itertools.permutations((1, 2, 3))}
 
 
+def _inverse_slots(sigma) -> tuple:
+    """``_INVERSE_SLOTS`` of a sequence that must be a permutation of
+    {1,2,3}, such as a tuple or a list of the images."""
+    slots = _INVERSE_SLOTS.get(tuple(sigma))
+    if slots is None:
+        raise ValueError(f"not a permutation of {{1,2,3}}: {tuple(sigma)}")
+    return slots
+
+
 def tensor3_perm(sigma, t: Tensor3) -> Tensor3:
     """Left S_3-action: factor i of the result is factor sigma^{-1}(i) of t."""
-    sigma = tuple(sigma)
-    slots = _INVERSE_SLOTS.get(sigma)
-    if slots is None:
-        raise ValueError(f"not a permutation of {{1,2,3}}: {sigma}")
-    i0, i1, i2 = slots
+    i0, i1, i2 = _inverse_slots(sigma)
     return Tensor3(t.alg, {(k[i0], k[i1], k[i2]): c for k, c in t.terms.items()})
 
 
@@ -568,7 +591,8 @@ class AlgEndo:
 
     def apply_word(self, w: Word) -> NCPoly:
         """The image of a word, memoised per endomorphism."""
-        return _word_image(self._memo, w, self.images.__getitem__, poly_mul)
+        return _word_image(self._memo, w, self.images.__getitem__,
+                           operator.mul)
 
     def __call__(self, p: NCPoly) -> NCPoly:
         return apply_endo(self, p)
@@ -602,21 +626,26 @@ def apply_endo(e: AlgEndo, p: NCPoly) -> NCPoly:
     return NCPoly(e.codomain, data)
 
 
-def _apply_slotwise(e: AlgEndo, t) -> dict:
+def _apply_slotwise(e: AlgEndo, t, slots):
+    """t with e applied to the words in the given slots of every key, over
+    e's codomain; the other slots keep their words, so a map between two
+    algebras must be given every slot."""
     data = {}
     for key, c in t.terms.items():
-        _expand(data, [e.apply_word(w) for w in key], c)
-    return data
+        _expand(data, [e.apply_word(w) if s in slots
+                       else NCPoly(e.codomain, {w: 1})
+                       for s, w in enumerate(key)], c)
+    return type(t)(e.codomain, data)
 
 
 def apply_endo_tensor2(e: AlgEndo, d: "Tensor2") -> "Tensor2":
     """Apply e (x) e to an element of the tensor square."""
-    return Tensor2(e.codomain, _apply_slotwise(e, d))
+    return _apply_slotwise(e, d, (0, 1))
 
 
 def apply_endo_tensor3(e: AlgEndo, t: "Tensor3") -> "Tensor3":
     """Apply e (x) e (x) e to an element of the tensor cube."""
-    return Tensor3(e.codomain, _apply_slotwise(e, t))
+    return _apply_slotwise(e, t, (0, 1, 2))
 
 
 def word_reversal(p: NCPoly) -> NCPoly:

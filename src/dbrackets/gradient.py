@@ -20,7 +20,7 @@ from typing import Optional
 
 from .bimodule import Bimodule, BimodKind
 from .dbracket import DoubleBracket, JacVerdict, eval_bracket, is_poisson
-from .freealg import FreeAlgebra, NCPoly, Tensor2, _tadd
+from .freealg import FreeAlgebra, NCPoly, Tensor2, _power_breach, _tadd
 
 # epsilon^{ijk}, totally antisymmetric with epsilon^{123} = 1 (0-based keys)
 _EPSILON = {}
@@ -131,6 +131,16 @@ def symmetrize(alg: FreeAlgebra, letters, max_len: int = 7) -> NCPoly:
 FAMILIES = ("monomial", "sum-power", "linear", "custom")
 
 
+def _family_power(family: str, base: NCPoly, degree: int) -> NCPoly:
+    """base**degree, refused before any product when it is over the
+    expansion budgets (``freealg.MAX_TERMS``, ``MAX_WORD_LENGTH``)."""
+    breach = _power_breach(base, degree)
+    if breach is not None:
+        raise ValueError(f"the {family} potential of degree {degree} has "
+                         f"{breach}")
+    return base ** degree
+
+
 def family_polynomial(alg: FreeAlgebra, family: str, *, gen=None,
                       degree: Optional[int] = None, coeffs=None,
                       poly: Optional[NCPoly] = None) -> NCPoly:
@@ -146,11 +156,12 @@ def family_polynomial(alg: FreeAlgebra, family: str, *, gen=None,
     if family == "monomial":
         if gen is None or degree is None:
             raise ValueError("monomial family needs gen and degree")
-        return alg.gen(gen) ** degree
+        return _family_power(family, alg.gen(gen), degree)
     if family == "sum-power":
         if degree is None:
             raise ValueError("sum-power family needs degree")
-        return (alg.gen(0) + alg.gen(1) + alg.gen(2)) ** degree
+        return _family_power(family, alg.gen(0) + alg.gen(1) + alg.gen(2),
+                             degree)
     if family == "linear":
         if coeffs is None or len(coeffs) != 4:
             raise ValueError("linear family needs four coefficients "

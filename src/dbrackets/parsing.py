@@ -24,7 +24,8 @@ from typing import Optional
 
 from .bimodule import Bimodule, BimodKind
 from .dbracket import DoubleBracket
-from .freealg import AlgEndo, FreeAlgebra, NCPoly, Tensor2
+from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Tensor2, _expansion_breach,
+                      _power_breach)
 
 
 class ParseError(ValueError):
@@ -196,18 +197,31 @@ def _parse_atom(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
     cur.fail(f"expected a polynomial, found {t.value!r}")
 
 
+def _within_budget(what: str, breach, at: Token) -> None:
+    """Raise a ParseError at ``at`` when the expansion ``what`` would
+    make is over the budgets (``breach`` is the reason, or None)."""
+    if breach is not None:
+        raise ParseError(f"the {what} has {breach}", at.line, at.col)
+
+
 def _parse_factor(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
     p = _parse_atom(cur, alg)
     if cur.accept("^"):
         e = cur.expect("NUMBER")
-        return p ** int(e.value)
+        n = int(e.value)
+        _within_budget("power", _power_breach(p, n), e)
+        return p ** n
     return p
 
 
 def _parse_term(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
     p = _parse_factor(cur, alg)
-    while cur.accept("*"):
-        p = p * _parse_factor(cur, alg)
+    while (star := cur.accept("*")) is not None:
+        q = _parse_factor(cur, alg)
+        _within_budget("product", _expansion_breach(
+            len(p.terms) * len(q.terms),
+            max(p.degree(), 0) + max(q.degree(), 0)), star)
+        p = p * q
     return p
 
 
@@ -230,8 +244,12 @@ def _parse_poly_expr(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
 
 def _parse_tensor_term(cur: _Cursor, alg: FreeAlgebra) -> Tensor2:
     left = _parse_term(cur, alg)
-    if cur.accept("TENSOR"):
-        return alg.t2(left, _parse_term(cur, alg))
+    sep = cur.accept("TENSOR")
+    if sep is not None:
+        right = _parse_term(cur, alg)
+        _within_budget("tensor", _expansion_breach(
+            len(left.terms) * len(right.terms), 0), sep)
+        return alg.t2(left, right)
     # a plain polynomial term stands for itself tensored with 1, which only
     # makes sense when it is 0 (the empty tensor)
     if not left.is_zero():

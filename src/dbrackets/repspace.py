@@ -236,11 +236,8 @@ def poisson_eval(ps: PoissonStructure, f: CPoly, g: CPoly) -> CPoly:
 def jacobi_defect(ps: PoissonStructure, f: CPoly, g: CPoly, h: CPoly) -> CPoly:
     """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}."""
     ps, inv = _integral(ps)
-    table, twist = ps.pair_bracket, _twist_of(ps)
-
-    def br(p, q):
-        return poisson_biderivation(table, p, q, twist=twist)
-    return _rescaled(cyclic_jacobi(br, f, g, h), inv, 2)
+    return _rescaled(cyclic_jacobi(ps.pair_bracket, f, g, h, _twist_of(ps)),
+                     inv, 2)
 
 
 @dataclass

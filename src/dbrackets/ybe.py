@@ -89,26 +89,22 @@ class MatTensor2(_OverMatrices):
         return MatTensor3(self.N, data)
 
 
+def _units_mul(k1, k2):
+    """The componentwise product of two triples of matrix units, e_ij e_kl =
+    delta_jk e_il in each slot; None when it is zero."""
+    if k1[1] == k2[0] and k1[3] == k2[2] and k1[5] == k2[4]:
+        return k1[0], k2[1], k1[2], k2[3], k1[4], k2[5]
+
+
 class MatTensor3(_OverMatrices):
     """Sparse element of Mat_N (x) Mat_N (x) Mat_N."""
 
     __slots__ = ()
+    _key_mul = staticmethod(_units_mul)
 
     def __init__(self, N: int, terms: dict | None = None):
         self.N = N
         self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    def __mul__(self, other):
-        """Componentwise product; e_ij e_kl = delta_jk e_il in each slot."""
-        self._check(other)
-        data = {}
-        for k1, c1 in self.terms.items():
-            i1, j1, k1b, l1, u1, v1 = k1
-            for k2, c2 in other.terms.items():
-                i2, j2, k2b, l2, u2, v2 = k2
-                if j1 == i2 and l1 == k2b and v1 == u2:
-                    _tadd(data, (i1, j2, k1b, l2, u1, v2), c1 * c2)
-        return self._like(data)
 
     def commutator(self, other) -> "MatTensor3":
         return self * other - other * self

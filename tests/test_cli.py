@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from dbrackets import FreeAlgebra
+from dbrackets import FreeAlgebra, family_polynomial
 from dbrackets.cli import main, run_text
+from dbrackets.freealg import MAX_TERMS, MAX_WORD_LENGTH
 from dbrackets.parsing import (_LINE_BREAKS, _MAX_NESTING, ParseError,
                                format_session, parse_poly, parse_session,
                                parse_tensor2)
@@ -416,6 +417,66 @@ def test_parenthesis_nesting_is_bounded(capsys):
     assert captured.err == (
         f"error: line 1, column {_MAX_NESTING + 1}: "
         f"parentheses nested more than {_MAX_NESTING} deep\n")
+
+
+# -- expansion budgets: refused before any product --------------------------
+
+POWER_SESSION = """\
+algebra { gens: x, y }
+bracket { <x,y> = (x+y)^30 (x) 1 }
+check poisson
+"""
+
+
+def test_a_power_over_the_term_budget_exits_2_at_its_exponent():
+    assert run_text(POWER_SESSION) == (
+        "error: line 2, column 25: the power has up to 1073741824 terms, "
+        f"above the term budget of {MAX_TERMS}\n", 2)
+
+
+def test_a_sum_power_degree_over_the_term_budget_exits_2(capsys):
+    assert main(["gradient", "classify", "--family", "sum-power",
+                 "--degree", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the sum-power potential of degree 9 has up to 19683 terms, "
+        f"above the term budget of {MAX_TERMS}\n")
+
+
+def test_a_power_over_the_word_length_budget_exits_2(capsys):
+    assert main(["gradient", "classify", "--poly", "x1^100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 1, column 4: the power has 100000 letters per word, "
+        f"above the word-length budget of {MAX_WORD_LENGTH}\n")
+
+
+def test_the_budgets_admit_degree_6_and_long_words_and_bound_the_rest():
+    B = FreeAlgebra(["x1", "x2", "x3"])
+    assert len(family_polynomial(B, "sum-power", degree=6).terms) == 729
+    assert len(parse_poly(B, "(x1 + x2 + x3)^6").terms) == 729
+    with pytest.raises(ValueError, match="up to 2187 terms"):
+        family_polynomial(B, "sum-power", degree=7)
+    with pytest.raises(ValueError, match="2049 letters per word"):
+        family_polynomial(B, "monomial", gen="x1", degree=MAX_WORD_LENGTH + 1)
+    A = two_gen()
+    assert parse_poly(A, f"x^{MAX_WORD_LENGTH}").degree() == MAX_WORD_LENGTH
+    assert parse_poly(A, "(x + y)^10").terms.keys() == set(A.words(10))
+    # products and tensors count against the same budgets
+    chain = "*".join(["(x + y)"] * 11)
+    with pytest.raises(ParseError, match="the product has up to 2048 terms"):
+        parse_poly(A, chain)
+    assert len(parse_poly(A, chain[:chain.rindex("*")]).terms) == 1024
+    with pytest.raises(ParseError, match="letters per word"):
+        parse_poly(A, f"x^{MAX_WORD_LENGTH} * y")
+    with pytest.raises(ParseError, match="the tensor has up to 2048 terms"):
+        parse_tensor2(A, "(x + y)^10 (x) (x + y)")
+    # an exponent counts as letters even on a constant
+    with pytest.raises(ParseError, match="the power has 3000 letters"):
+        parse_poly(A, "2^3000")
+    assert parse_poly(A, "2^10") == A.one().scale(1024)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "kv"])

@@ -1349,6 +1349,32 @@ def test_swap_equivalent_pair_induces_same_necklace_bracket():
             assert lie_on_necklaces(db, na, nb) == lie_on_necklaces(sw, na, nb)
 
 
+def test_twisted_jacobiator_twists_one_slot_of_each_summand():
+    """With a twist that is not the identity, the left version twists the
+    third slot of each left pairing and the right version the first slot
+    of each pair-right term; ``_slot_endo`` twists the one slot by hand."""
+    A = two_gen()
+    x, y = xy(A)
+    alpha = AlgEndo(A, {"x": y, "y": x + x * y})
+
+    def cyclic(term, a, b, c):
+        return (term(a, b, c) + tensor3_perm(P123, term(b, c, a))
+                + tensor3_perm(P132, term(c, a, b)))
+
+    moved = 0
+    for db in (outer_poisson(A), twisted_ctr(A), right_const(A)):
+        for a, b, c in triples(A, 2):
+            left = cyclic(lambda p, q, r: _slot_endo(alpha, bracket_left(
+                db, p, eval_bracket(db, q, r)), 2), a, b, c)
+            right = cyclic(lambda p, q, r: _slot_endo(
+                alpha, bracket_pair_right(db, eval_bracket(db, p, q), r), 0),
+                a, b, c)
+            assert twisted_jacobiator(db, "left", alpha, a, b, c) == left
+            assert twisted_jacobiator(db, "right", alpha, a, b, c) == right
+            moved += left != jacobiator(db, a, b, c)
+    assert moved > 0
+
+
 def test_twisted_jacobiator_zero_bracket():
     A = two_gen()
     x, y = xy(A)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from dbrackets import (AlgEndo, FreeAlgebra, Necklace, apply_endo,
-                       necklace_project, perm_compose, poly_mul,
+                       necklace_project, perm_compose, permute_args, poly_mul,
                        tensor2_alg_mul, tensor3_perm,
                        word_reversal)
 from dbrackets.freealg import (P12, P123, P132, P13, P23, P_ID, Tensor2,
@@ -92,6 +92,9 @@ def test_tensor3_perm_refuses_a_non_permutation(sigma):
     x, y = xy(A)
     with pytest.raises(ValueError, match="not a permutation of"):
         tensor3_perm(sigma, A.t3(x, y, x))
+    # the arguments of a triple are permuted through the same table
+    with pytest.raises(ValueError, match="not a permutation of"):
+        permute_args(sigma, (x, y, x))
 
 
 def test_tensor3_perm_takes_any_sequence_of_the_six():

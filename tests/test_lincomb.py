@@ -6,12 +6,14 @@ identities, hashing and the space check are then the same test.  The
 printed forms are pinned per class.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from dbrackets import (CPoly, FreeAlgebra, MatTensor2, MatTensor3, Tensor3,
-                       casimir, standard_r)
+                       casimir, poly_mul, standard_r, tensor2_alg_mul)
 
 A = FreeAlgebra(["x", "y"])
 B = FreeAlgebra(["x"])
@@ -171,3 +173,56 @@ def test_negative_powers_raise():
     with pytest.raises(ValueError):
         X ** -1
     assert CPoly.var("a") ** 0 == CPoly.one()
+
+
+# -- the one product: LinComb.__mul__ ----------------------------------------
+
+def test_products_across_classes_raise_type_error():
+    # an operand of another class is taken for a scalar, and is not one
+    with pytest.raises(TypeError):
+        X * A.t2(X, Y)
+    with pytest.raises(TypeError):
+        CPoly.var("a") * X
+    with pytest.raises(TypeError):
+        standard_r(2).embed((1, 2)) * standard_r(2)
+
+
+def test_poly_mul_and_tensor2_alg_mul_are_the_product():
+    for p, q in itertools.permutations(_ncpoly()[:2]):
+        assert poly_mul(p, q) == p * q
+    for d, e in itertools.permutations(_tensor2()[:2]):
+        assert tensor2_alg_mul(d, e) == d * e
+    assert poly_mul(X, Y).terms == {(0, 1): 1}
+    assert tensor2_alg_mul(A.t2(X, Y), A.t2(Y, ONE)) == A.t2(X * Y, Y)
+
+
+def _dense(t, N):
+    """A MatTensor3 as its Kronecker matrix of size N^3, rows from (i, k, u)
+    and columns from (j, l, v) of each key e_ij (x) e_kl (x) e_uv."""
+    def index(a, b, c):
+        return ((a - 1) * N + b - 1) * N + c - 1
+
+    m = [[0] * N ** 3 for _ in range(N ** 3)]
+    for (i, j, k, l, u, v), c in t.terms.items():
+        m[index(i, k, u)][index(j, l, v)] += c
+    return m
+
+
+def _random_mattensor3(rng, N, terms):
+    return MatTensor3(N, {tuple(rng.randint(1, N) for _ in range(6)):
+                          Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                          for _ in range(terms)})
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mattensor3_product_matches_kronecker_matrices(seed):
+    """(A (x) B (x) C)(A' (x) B' (x) C') = AA' (x) BB' (x) CC', and the
+    Kronecker product turns this into one matrix product of size N^3."""
+    N = 2
+    rng = random.Random(seed)
+    s, t = (_random_mattensor3(rng, N, 12) for _ in range(2))
+    ds, dt = _dense(s, N), _dense(t, N)
+    naive = [[sum(ds[r][k] * dt[k][c] for k in range(N ** 3))
+              for c in range(N ** 3)] for r in range(N ** 3)]
+    assert _dense(s * t, N) == naive
+    assert all(c for c in (s * t).terms.values())
