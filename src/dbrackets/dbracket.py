@@ -441,6 +441,65 @@ _EXACT_FORM = {BimodKind.OUTER: None, BimodKind.INNER: None,
 _TRANSPOSITION_NAME = {p: name for name, p in TRANSPOSITIONS.items()}
 
 
+def _maps_table_to_signed_self(table: dict, tau: list) -> bool:
+    """Is table[(tau i, tau j)] = s (tau (x) tau)(table[(i, j)]) for every
+    pair, with one sign s = +-1?  ``tau`` relabels generator indices; the
+    entries are compared term by term, without building their images."""
+    sign = None
+    for (i, j), d in table.items():
+        image = table[(tau[i], tau[j])].terms
+        if len(image) != len(d.terms):
+            return False
+        for (w0, w1), c in d.terms.items():
+            c_image = image.get((tuple(tau[g] for g in w0),
+                                 tuple(tau[g] for g in w1)))
+            if sign is None:
+                sign = 1 if c_image == c else -1
+            if c_image != sign * c:
+                return False
+    return True
+
+
+def _relabelling_blocks(db: DoubleBracket) -> list:
+    """Per generator index, its block as a sorted tuple: the generators
+    joined to it by transpositions that map the table to +-itself
+    (``_maps_table_to_signed_self``).  Such transpositions generate the
+    full symmetric group on each block, and each element of that group is
+    again such a relabelling, with the product of their signs."""
+    n = db.alg.ngens
+    block = [(g,) for g in range(n)]
+    for p, q in itertools.combinations(range(n), 2):
+        if q in block[p]:
+            continue
+        tau = list(range(n))
+        tau[p], tau[q] = q, p
+        if _maps_table_to_signed_self(db.gen_table, tau):
+            joined = tuple(sorted(block[p] + block[q]))
+            for g in joined:
+                block[g] = joined
+    return block
+
+
+def _first_relabelling(t: tuple, block: list) -> tuple:
+    """The first in product order of the relabellings of the index tuple t
+    within blocks: each index, at its first occurrence, becomes the least
+    index of its block not taken by an earlier one."""
+    image = {}
+    for g in t:
+        if g not in image:
+            image[g] = min(set(block[g]) - set(image.values()))
+    return tuple(image[g] for g in t)
+
+
+def _orbit_firsts(triples, block: list, rotate: bool):
+    """The index triples that come first in product order among their
+    relabellings within blocks and, if ``rotate``, among those of their
+    rotations too."""
+    turns = range(3) if rotate else (0,)
+    return (t for t in triples if t == min(
+        _first_relabelling(t[r:] + t[:r], block) for r in turns))
+
+
 def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
     """Decide or bound-verify the vanishing of the double Jacobiator.
 
@@ -451,7 +510,10 @@ def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
     Both sweeps evaluate one triple per rotation class, the first in sweep
     order: J(a,b,c) = P123 J(b,c,a) by the cyclic sum, so a rotation of a
     failing triple fails too; rotations share a total degree, so the first
-    failing triple of the full sweep is the first of its class.
+    failing triple of the full sweep is the first of its class.  The exact
+    sweep also skips the relabellings of a triple within blocks of
+    generators (``_verdict``): it evaluates one triple per orbit of
+    rotations and relabellings.
     """
     return _verdict(db, None, degree_bound)
 
@@ -471,17 +533,33 @@ def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
 
     Exact over generator triples where ``_EXACT_FORM`` names this pair:
     untwisted right with ((12), (12)), untwisted left with ((12), (13)).
-    Elsewhere a sweep of every word triple up to the bound; no rotation
-    rule is proved for weak forms, so no triple is skipped.  Their two
-    Jacobiators are shared by rotation, though: ``_jac_words`` computes
-    one cyclic sum per rotation class and permutes it for the others.
+    The exact sweep evaluates one triple per orbit of relabellings within
+    blocks of generators (``_verdict``).  Elsewhere a sweep of every word
+    triple up to the bound; no rotation rule is proved for weak forms, so
+    no triple is skipped.  Their two Jacobiators are shared by rotation,
+    though: ``_jac_words`` computes one cyclic sum per rotation class and
+    permutes it for the others.
     """
     return _verdict(db, (sigma, sigma_prime), degree_bound)
 
 
 def _verdict(db: DoubleBracket, pair, degree_bound: int) -> JacVerdict:
     """The verdict of the first nonzero Jacobiator, or weak Jacobiator of
-    a pair of transpositions, in the sweep that ``_EXACT_FORM`` picks."""
+    a pair of transpositions, in the sweep that ``_EXACT_FORM`` picks.
+
+    An exact sweep first finds the blocks of generators that relabellings
+    tau with <<tau a, tau b>> = +-(tau (x) tau)<<a, b>> permute
+    (``_relabelling_blocks``).  Such a tau, as an automorphism of A,
+    commutes with the untwisted actions, so the sign carries over to all
+    of A by the Leibniz rules and cancels in the quadratic Jacobiator:
+    J(tau a, tau b, tau c) = tau^(x)3 J(a, b, c), and the same for a weak
+    Jacobiator, since tau^(x)3 commutes with the slot and argument
+    permutations.  A triple thus fails exactly when its relabellings do
+    (and, for the Jacobiator, its rotations), so the sweep evaluates only
+    the first triple of each orbit (``_orbit_firsts``).  The first failing
+    triple of the full sweep is the first of its orbit, so the witness and
+    its defect are those of the full sweep.
+    """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
     form = None
@@ -495,10 +573,13 @@ def _verdict(db: DoubleBracket, pair, degree_bound: int) -> JacVerdict:
     db, inv = _integral(db)
     alg = db.alg
     exact = db.bimodule.is_untwisted() and _EXACT_FORM[db.kind()] == form
-    triples = ((((i,), (j,), (k,)) for i, j, k in _gen_triples(alg)) if exact
-               else _word_triples(alg, degree_bound))
-    if form is None:
-        triples = _rotation_firsts(triples)
+    if exact:
+        triples = (((i,), (j,), (k,)) for i, j, k in _orbit_firsts(
+            _gen_triples(alg), _relabelling_blocks(db), form is None))
+    else:
+        triples = _word_triples(alg, degree_bound)
+        if form is None:
+            triples = _rotation_firsts(triples)
     defect_of = ((lambda t: _jac_words(db, *t)) if form is None
                  else (lambda t: _weak_words(db, s, sp, *t)))
     _, witness, defect = _first_failure(

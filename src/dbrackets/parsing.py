@@ -152,20 +152,33 @@ class _Cursor:
 # expressions
 # ---------------------------------------------------------------------------
 
+def _number(cur: _Cursor) -> tuple:
+    """The next token, a NUMBER, and its value; a ParseError at the token
+    when it has more digits than the interpreter converts
+    (``sys.get_int_max_str_digits``)."""
+    t = cur.expect("NUMBER")
+    try:
+        return t, int(t.value)
+    except ValueError:
+        raise ParseError(f"a number of {len(t.value)} digits is over the "
+                         f"interpreter's limit for integer conversion",
+                         t.line, t.col) from None
+
+
 def _parse_integer(cur: _Cursor) -> int:
     """``[-]p``, p in the digits 0-9."""
     sign = -1 if cur.accept("-") else 1
-    return sign * int(cur.expect("NUMBER").value)
+    return sign * _number(cur)[1]
 
 
 def _parse_rational(cur: _Cursor) -> Fraction:
     """``[-]p[/q]``; in a polynomial the sum reads the sign, not the atom."""
     num = _parse_integer(cur)
     if cur.accept("/"):
-        den = cur.expect("NUMBER")
-        if int(den.value) == 0:
+        den, q = _number(cur)
+        if q == 0:
             raise ParseError("zero denominator", den.line, den.col)
-        return Fraction(num, int(den.value))
+        return Fraction(num, q)
     return Fraction(num)
 
 
@@ -207,8 +220,7 @@ def _within_budget(what: str, breach, at: Token) -> None:
 def _parse_factor(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
     p = _parse_atom(cur, alg)
     if cur.accept("^"):
-        e = cur.expect("NUMBER")
-        n = int(e.value)
+        e, n = _number(cur)
         _within_budget("power", _power_breach(p, n), e)
         return p ** n
     return p

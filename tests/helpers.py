@@ -74,6 +74,7 @@ def bracket_corpus(alg):
         right_generic(alg),
         outer_generic(alg),
         inner_generic(alg),
+        swap_equivalent(outer_generic(alg)),  # inner, not Poisson
     ]
 
 

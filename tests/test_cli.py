@@ -453,6 +453,36 @@ def test_a_power_over_the_word_length_budget_exits_2(capsys):
         f"above the word-length budget of {MAX_WORD_LENGTH}\n")
 
 
+# more digits than the interpreter's integer conversion takes (4 300 by
+# default)
+LONG_NUMBER = "1" * 5000
+LONG_NUMBER_ERROR = ("a number of 5000 digits is over the interpreter's "
+                     "limit for integer conversion")
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["gradient", "classify", "--poly", f"x1^{LONG_NUMBER}"], 4),
+    (["gradient", "classify", "--family", "sum-power",
+      "--degree", LONG_NUMBER], 1),
+])
+def test_a_number_over_the_conversion_limit_exits_2_at_its_token(
+        capsys, argv, column):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: line 1, column {column}: {LONG_NUMBER_ERROR}\n"
+
+
+def test_a_session_coefficient_over_the_conversion_limit_exits_2():
+    for coefficient, column in ((LONG_NUMBER, 19), (f"1/{LONG_NUMBER}", 21)):
+        session = ("algebra { gens: x, y }\n"
+                   f"bracket {{ <x,y> = {coefficient} (x) 1 }}\n"
+                   "check poisson\n")
+        assert run_text(session) == (
+            f"error: line 2, column {column}: {LONG_NUMBER_ERROR}\n", 2)
+
+
 def test_the_budgets_admit_degree_6_and_long_words_and_bound_the_rest():
     B = FreeAlgebra(["x1", "x2", "x3"])
     assert len(family_polynomial(B, "sum-power", degree=6).terms) == 729

@@ -26,6 +26,7 @@ from dbrackets import dbracket
 from dbrackets.bimodule import act
 from dbrackets.dbracket import JacVerdict, _eval_words
 from dbrackets.freealg import P12, P13, P123, P132
+from dbrackets.gradient import family_polynomial, gradient_bracket
 
 from helpers import (bracket_corpus, letter_pair_eval, monomials,
                      outer_poisson, right_const, triples, twisted_ctr, two_gen,
@@ -450,13 +451,25 @@ def test_poisson_sweep_by_rotation_class_equals_the_full_sweep(kind, ngens):
     assert len(witnesses) >= 4  # Poisson and failures at several triples
 
 
+def _scaled_outer_poisson(alg):
+    """<g_i,g_i> = (i+1)(g_i (x) 1 - 1 (x) g_i): Poisson, and no relabelling
+    maps its table to +-itself."""
+    one = alg.one()
+    return DoubleBracket(Bimodule("outer", alg=alg), {
+        (i, i): (alg.t2(g, one) - alg.t2(one, g)).scale(i + 1)
+        for i, g in enumerate(alg.gens())})
+
+
 def test_poisson_sweep_evaluates_one_triple_per_rotation_class(monkeypatch):
     jac_words, weak_words, calls = dbracket._jac_words, dbracket._weak_words, []
     monkeypatch.setattr(dbracket, "_jac_words", lambda db, u, v, w: (
         calls.append((u, v, w)) or jac_words(db, u, v, w)))
     for ngens, firsts in ((3, 11), (2, 4)):
         alg = FreeAlgebra([f"g{i}" for i in range(ngens)])
-        for db in (outer_poisson(alg), swap_equivalent(outer_poisson(alg))):
+        for db in (_scaled_outer_poisson(alg),
+                   swap_equivalent(_scaled_outer_poisson(alg))):
+            assert dbracket._relabelling_blocks(db) == [
+                (g,) for g in range(ngens)]
             calls.clear()
             assert is_poisson(db).status == "Poisson"
             assert len(calls) == firsts
@@ -468,9 +481,181 @@ def test_poisson_sweep_evaluates_one_triple_per_rotation_class(monkeypatch):
     monkeypatch.setattr(dbracket, "_weak_words", lambda db, *args: (
         weak_calls.append(args) or weak_words(db, *args)))
     alg = FreeAlgebra(["g0", "g1", "g2"])
-    db = DoubleBracket(Bimodule("right", alg=alg), {(0, 1): alg.unit2()})
+    db = DoubleBracket(Bimodule("right", alg=alg), {
+        (0, 1): alg.unit2(), (0, 2): alg.unit2().scale(2)})
     assert is_weak_poisson(db, "12", "12").status == "WeakPoisson"
     assert len(weak_calls) == 27
+
+
+# -- relabellings of generators in the exact sweeps ----------------------------
+#
+# A relabelling tau of generators with <<tau a, tau b>> = s (tau (x) tau)<<a, b>>
+# for one sign s gives J(tau a, tau b, tau c) = tau^(x)3 J(a, b, c), so the
+# exact sweeps evaluate one generator triple per orbit.
+
+def _relabel(t, tau):
+    """tau applied to every letter of a tensor: tau (x) tau or tau^(x)3."""
+    return type(t)(t.alg, {tuple(tuple(tau[g] for g in w) for w in key): c
+                           for key, c in t.terms.items()})
+
+
+def _signed_symmetric(rng, kind, ngens, sign):
+    """A random antisymmetric table made to satisfy table[(tau i, tau j)] =
+    sign (tau (x) tau)(table[(i, j)]) for tau = (g0 g1); and tau."""
+    alg = FreeAlgebra([f"g{i}" for i in range(ngens)])
+    m, tau = Bimodule(kind, alg=alg), [1, 0] + list(range(2, ngens))
+    pairs = list(itertools.product(range(ngens), repeat=2))
+    entries = {}
+    for i, j in pairs:
+        if i <= j and rng.random() < 0.6:
+            t = _random_tensor(rng, alg)
+            entries[(i, j)] = t - t.swap() if i == j else t
+    base = DoubleBracket(m, entries).gen_table
+    return DoubleBracket(m, {(i, j): base[(i, j)] + _relabel(
+        base[(tau[i], tau[j])], tau).scale(sign) for i, j in pairs}), tau
+
+
+def _mixed_signs(kind, ngens):
+    """A table that tau = (g0 g1) maps to minus itself on (g, g) and to
+    itself on (g0, g1): not a signed symmetry, and its Jacobiator fails at
+    (g0, g1, g1) but not at (g1, g0, g0) (exact forms of all four kinds)."""
+    alg = FreeAlgebra([f"g{i}" for i in range(ngens)])
+    (x, y), one = alg.gens()[:2], alg.one()
+    return DoubleBracket(Bimodule(kind, alg=alg), {
+        (0, 0): alg.t2(x, one) - alg.t2(one, x),
+        (1, 1): alg.t2(one, y) - alg.t2(y, one),
+        (0, 1): alg.t2(x, one) - alg.t2(one, y)})
+
+
+KINDS = ["outer", "inner", "right", "left"]
+
+
+def _exact_defect(db, a, b, c):
+    form = dbracket._EXACT_FORM[db.kind()]
+    return (jacobiator(db, a, b, c) if form is None
+            else weak_jacobiator(db, *form, a, b, c))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind", KINDS)
+def test_jacobiators_are_relabelling_equivariant(kind, sign):
+    rng = random.Random(sign + 7)
+    for ngens in (2, 3):
+        db, tau = _signed_symmetric(rng, kind, ngens, sign)
+        alg = db.alg
+        assert not db.is_zero()
+        assert {0, 1} <= set(dbracket._relabelling_blocks(db)[0])
+        words = sorted(alg.words_up_to(2, min_degree=1))
+        generator_triples = itertools.product(
+            [(g,) for g in range(ngens)], repeat=3)
+        word_triples = [tuple(rng.choice(words) for _ in range(3))
+                        for _ in range(6)]
+        for t in itertools.chain(generator_triples, word_triples):
+            args = [alg.monomial(w) for w in t]
+            images = [alg.monomial(tuple(tau[g] for g in w)) for w in t]
+            assert jacobiator(db, *images) == _relabel(
+                jacobiator(db, *args), tau)
+            for form in (("12", "12"), ("12", "13")):
+                assert weak_jacobiator(db, *form, *images) == _relabel(
+                    weak_jacobiator(db, *form, *args), tau)
+
+
+def test_relabelling_blocks():
+    A = FreeAlgebra(["x1", "x2", "x3"])
+    assert dbracket._relabelling_blocks(outer_poisson(A)) == [(0, 1, 2)] * 3
+    sym = (A.gen(0) + A.gen(1) + A.gen(2)) ** 3
+    assert dbracket._relabelling_blocks(
+        gradient_bracket(sym)) == [(0, 1, 2)] * 3
+    # x1*x1*x2*x3 arranged every way is symmetric in x2, x3 only
+    arranged = sum((A.monomial(w) for w in set(itertools.permutations(
+        (0, 0, 1, 2)))), A.zero())
+    assert dbracket._relabelling_blocks(
+        gradient_bracket(arranged)) == [(0,), (1, 2), (1, 2)]
+    for kind in KINDS:
+        for ngens in (2, 3):
+            assert dbracket._relabelling_blocks(_mixed_signs(kind, ngens)) \
+                == [(g,) for g in range(ngens)]
+    assert dbracket._first_relabelling((2, 0, 2), [(0, 1, 2)] * 3) == \
+        (0, 1, 0)
+    assert dbracket._first_relabelling((2, 0, 2), [(0,), (1, 2), (1, 2)]) \
+        == (1, 0, 1)
+
+
+def _full_exact_sweep(db):
+    """The exact verdict as a loop over every generator triple in product
+    order: (witness, defect) of the first failing one, or None."""
+    for t in itertools.product(db.alg.gens(), repeat=3):
+        defect = _exact_defect(db, *t)
+        if not defect.is_zero():
+            return t, defect
+    return None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_orbit_sweeps_equal_the_full_generator_sweep(kind):
+    rng = random.Random(len(kind))
+    form = dbracket._EXACT_FORM[BimodKind(kind)]
+    brackets = [_mixed_signs(kind, 2), _mixed_signs(kind, 3)]
+    for ngens in (2, 3):
+        alg = FreeAlgebra([f"g{i}" for i in range(ngens)])
+        poisson = (outer_poisson(alg) if kind == "outer"
+                   else swap_equivalent(outer_poisson(alg))
+                   if kind == "inner" else DoubleBracket(
+                       Bimodule(kind, alg=alg), {(0, 1): alg.unit2()}))
+        brackets.append(poisson)
+        for sign in (1, -1):
+            for _ in range(3):
+                brackets.append(_signed_symmetric(rng, kind, ngens, sign)[0])
+    witnesses = set()
+    for db in brackets:
+        v = is_poisson(db) if form is None else is_weak_poisson(db, *form)
+        full = _full_exact_sweep(db)
+        if full is None:
+            assert v.status == ("Poisson" if form is None else "WeakPoisson")
+        else:
+            assert v.status == "NotPoisson"
+            assert (v.witness, v.defect) == full
+        witnesses.add(v.witness and tuple(str(p) for p in v.witness))
+    assert None in witnesses and len(witnesses) >= 4
+    # the mixed-sign table fails where a signed symmetry would have hidden it
+    assert _full_exact_sweep(_mixed_signs(kind, 2))[0] == tuple(
+        _mixed_signs(kind, 2).alg.gen(g) for g in (0, 1, 1))
+
+
+def test_exact_sweeps_evaluate_one_triple_per_relabelling_orbit(monkeypatch):
+    jac_words, weak_words, calls = dbracket._jac_words, dbracket._weak_words, []
+    monkeypatch.setattr(dbracket, "_jac_words", lambda db, u, v, w: (
+        calls.append((u, v, w)) or jac_words(db, u, v, w)))
+    # outer_poisson is symmetric under every relabelling, so one triple per
+    # orbit of S_n times the rotations is left: (0,0,0), (0,0,1) and,
+    # on three generators, (0,1,2)
+    orbit_firsts = [((0,), (0,), (0,)), ((0,), (0,), (1,)),
+                    ((0,), (1,), (2,))]
+    for ngens, firsts in ((3, orbit_firsts), (2, orbit_firsts[:2])):
+        alg = FreeAlgebra([f"g{i}" for i in range(ngens)])
+        for db in (outer_poisson(alg), swap_equivalent(outer_poisson(alg))):
+            calls.clear()
+            assert is_poisson(db).status == "Poisson"
+            assert calls == firsts
+    B = FreeAlgebra(["x1", "x2", "x3"])
+    calls.clear()
+    assert is_poisson(gradient_bracket(
+        family_polynomial(B, "sum-power", degree=3))).status == "Poisson"
+    assert len(calls) == 3
+    # the weak sweep: (g0 g1) maps {(0,1): 1 (x) 1} to minus itself, so 13
+    # pairs of triples and (2,2,2) are left of 27
+    weak_calls = []
+    monkeypatch.setattr(dbracket, "_weak_words", lambda db, *args: (
+        weak_calls.append(args) or weak_words(db, *args)))
+    alg = FreeAlgebra(["g0", "g1", "g2"])
+    db = DoubleBracket(Bimodule("right", alg=alg), {(0, 1): alg.unit2()})
+    assert dbracket._relabelling_blocks(db) == [(0, 1), (0, 1), (2,)]
+    assert is_weak_poisson(db, "12", "12").status == "WeakPoisson"
+    assert len(weak_calls) == 14
+    kept = [tuple(g for (g,) in args[2:]) for args in weak_calls]
+    assert kept == sorted(kept)
+    assert {min(t, tuple(1 - g if g < 2 else g for g in t))
+            for t in itertools.product(range(3), repeat=3)} == set(kept)
 
 
 # -- a theorem: linear outer brackets and associative algebras --------------

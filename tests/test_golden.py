@@ -29,6 +29,10 @@ SYM_X1X1X2X3 = "-3/2*(" + " + ".join(
 CASES = {
     "gradient-sum-power-3": (
         ["gradient", "classify", "--family", "sum-power", "--degree", "3"], 0),
+    # (x1+x2+x3)^4: one generator triple per orbit of relabellings and
+    # rotations is evaluated, 3 of 27
+    "gradient-sum-power-4": (
+        ["gradient", "classify", "--family", "sum-power", "--degree", "4"], 0),
     "gradient-custom-sym-x1x1x2x3": (
         ["gradient", "classify", "--poly", SYM_X1X1X2X3], 1),
     "gradient-custom-sym-x1x1x2x3-kv": (
