@@ -103,40 +103,40 @@ def _cmd_check(session, args, rep):
         raise CommandError("check needs a subject: antisym | swap-commuting "
                            "| poisson | weak-poisson")
     what, rest = args[0], args[1:]
-    no_positional = f"check {what} takes no positional arguments"
+    if what not in ("antisym", "swap-commuting", "poisson", "weak-poisson"):
+        raise CommandError(f"unknown check {what!r}")
+    sigmas = ({"--sigma": str, "--sigma-prime": str}
+              if what == "weak-poisson" else {})
+    _, opts = _opts(rest, {"--degree": parse_integer, **sigmas}, 0,
+                    f"check {what} takes no positional arguments")
+    degree = opts.get("--degree",
+                      4 if what in ("poisson", "weak-poisson") else 3)
     if what == "antisym":
-        _, opts = _opts(rest, {"--degree": parse_integer}, 0, no_positional)
-        r = check_antisymmetry(_need_bracket(session), opts.get("--degree", 3))
+        r = check_antisymmetry(_need_bracket(session), degree)
         rep.say(str(r), check="antisym", holds=str(r.holds).lower(),
                 pairs=r.pairs, degree=r.degree_bound)
         rep.outcome(r.holds)
     elif what == "swap-commuting":
-        _, opts = _opts(rest, {"--degree": parse_integer}, 0, no_positional)
         if session.bimodule is None:
             raise CommandError("this command needs a bimodule declaration")
-        r = check_swap_commuting(session.bimodule, opts.get("--degree", 3))
+        r = check_swap_commuting(session.bimodule, degree)
         rep.say(str(r), check="swap-commuting", holds=str(r.holds).lower(),
                 cases=r.cases, trials=r.trials, degree=r.degree_bound)
         rep.outcome(r.holds)
     elif what == "poisson":
-        _, opts = _opts(rest, {"--degree": parse_integer}, 0, no_positional)
-        v = is_poisson(_need_bracket(session), opts.get("--degree", 4))
+        v = is_poisson(_need_bracket(session), degree)
         rep.say(str(v), check="poisson", verdict=str(v))
         rep.outcome(v.holds())
-    elif what == "weak-poisson":
-        _, opts = _opts(rest, {"--degree": parse_integer, "--sigma": str,
-                               "--sigma-prime": str}, 0, no_positional)
+    else:
         if "--sigma" not in opts:
             raise CommandError("check weak-poisson needs --sigma")
         sigma = opts["--sigma"]
         sigma_prime = opts.get("--sigma-prime", sigma)
         v = is_weak_poisson(_need_bracket(session), sigma, sigma_prime,
-                            opts.get("--degree", 4))
+                            degree)
         rep.say(str(v), check="weak-poisson", sigma=sigma,
                 sigma_prime=sigma_prime, verdict=str(v))
         rep.outcome(v.holds())
-    else:
-        raise CommandError(f"unknown check {what!r}")
 
 
 def _cmd_jacobiator(session, args, rep):
@@ -211,7 +211,7 @@ def _matrix_size(text: str) -> int:
     return n
 
 
-def _cmd_ybe(args, rep):
+def _cmd_ybe(session, args, rep):
     if not args:
         raise CommandError("ybe needs a subject: check | standard | entry-jacobi")
     what, rest = args[0], args[1:]
@@ -247,7 +247,7 @@ def _cmd_ybe(args, rep):
         raise CommandError(f"unknown ybe command {what!r}")
 
 
-def _cmd_gradient(args, rep):
+def _cmd_gradient(session, args, rep):
     if not args or args[0] != "classify":
         raise CommandError("gradient supports: classify")
     # --poly is kept as given, so that a session argument keeps its position
@@ -294,22 +294,20 @@ _SESSION_COMMANDS = {
     "check": _cmd_check,
     "jacobiator": _cmd_jacobiator,
     "rep": _cmd_rep,
-    "ybe": lambda session, args, rep: _cmd_ybe(args, rep),
-    "gradient": lambda session, args, rep: _cmd_gradient(args, rep),
+    "ybe": _cmd_ybe,
+    "gradient": _cmd_gradient,
 }
 
 
-def run(session: SessionSpec, fmt: str = "plain") -> tuple:
-    """Execute the commands of a parsed session; return (report text, code).
-    A failing command's output is replaced by its ``error:`` line."""
+def run(session, fmt: str = "plain") -> tuple:
+    """Execute a session, given as text or parsed; return (report text,
+    exit code).  A failing command's output is replaced by its ``error:``
+    line."""
     out, error, code = _run(fmt, lambda rep: _session(session, rep))
     return out + error, code
 
 
-def run_text(text: str, fmt: str = "plain") -> tuple:
-    """Parse and run a session given as text; return (report text, exit code)."""
-    out, error, code = _run(fmt, lambda rep: _session(text, rep))
-    return out + error, code
+run_text = run
 
 
 def _session(session, rep: Reporter):
@@ -366,11 +364,9 @@ def main(argv=None) -> int:
     p_grad.add_argument("args", nargs=argparse.REMAINDER)
 
     ns = parser.parse_args(argv)
-    out, error, code = _run(ns.format, {
-        "run": lambda rep: _session(_read(ns.session), rep),
-        "ybe": lambda rep: _cmd_ybe(ns.args, rep),
-        "gradient": lambda rep: _cmd_gradient(ns.args, rep),
-    }[ns.command])
+    out, error, code = _run(ns.format, lambda rep: (
+        _session(_read(ns.session), rep) if ns.command == "run"
+        else _SESSION_COMMANDS[ns.command](None, ns.args, rep)))
     sys.stdout.write(out)
     sys.stderr.write(error)
     return code

@@ -159,27 +159,32 @@ def _eval_words(db: DoubleBracket, u, v) -> Tensor2:
     return out
 
 
-def _multilinear(db: DoubleBracket, of_words, polys, cls):
-    """The multilinear extension of ``of_words``, a function of one word
-    per polynomial, to ``polys``, as an element of ``cls``; on unit
-    monomials, the value of ``of_words`` itself."""
+def _multilinear(db: DoubleBracket, of_words, polys, cls, power: int):
+    """The multilinear extension of ``of_words(db, *words)``, one word per
+    polynomial, to ``polys``, as an element of ``cls``; on unit monomials,
+    the value of ``of_words`` itself.
+
+    The one route of every bracket and Jacobiator entry: it checks the
+    arguments' algebra, computes on the integer twin of a rational table
+    (``of_words`` is called with the twin) and rescales the result once,
+    by 1/D**power for a value of degree ``power`` in the table.
+    """
     for p in polys:
         db.alg._check(p)
+    db, inv = _integral(db)
     words = tuple(map(_unit_word, polys))
     if None not in words:
-        return of_words(*words)
+        return _rescaled(of_words(db, *words), inv, power)
     data = {}
     for keys, c in _expand({}, polys, 1).items():
-        of_words(*keys).add_into(data, c)
-    return cls(db.alg, data)
+        of_words(db, *keys).add_into(data, c)
+    return _rescaled(cls(db.alg, data), inv, power)
 
 
 def eval_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly) -> Tensor2:
     """Bilinear extension of the generator table by the Leibniz rules; on
     two unit monomials, the memoised value itself."""
-    db, inv = _integral(db)
-    return _rescaled(_multilinear(
-        db, lambda u, v: _eval_words(db, u, v), (a, b), Tensor2), inv)
+    return _multilinear(db, _eval_words, (a, b), Tensor2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,62 +284,62 @@ def _jac_words(db: DoubleBracket, u, v, w) -> Tensor3:
 
 def jacobiator(db: DoubleBracket, a: NCPoly, b: NCPoly, c: NCPoly) -> Tensor3:
     """The cyclic sum <<a,<<b,c>>>>_L + perms, valued in the tensor cube."""
-    db, inv = _integral(db)
-    return _rescaled(_multilinear(
-        db, lambda u, v, w: _jac_words(db, u, v, w), (a, b, c), Tensor3),
-        inv, 2)
+    return _multilinear(db, _jac_words, (a, b, c), Tensor3, 2)
+
+
+def _mixed_words(db: DoubleBracket, u, v, w) -> Tensor3:
+    """The "mixed" form of the Jacobiator at three words, memoised per
+    bracket: a left pairing minus a right one minus a pair-left term."""
+    out = db._jac_cache.get(("mixed", u, v, w))
+    if out is None:
+        a, b, c = (_mono(db.alg, x) for x in (u, v, w))
+        out = db._jac_cache[("mixed", u, v, w)] = (
+            bracket_left(db, a, _eval_words(db, v, w))
+            - bracket_right(db, b, _eval_words(db, u, w))
+            - bracket_pair_left(db, _eval_words(db, u, v), c))
+    return out
+
+
+def _right_words(db: DoubleBracket, u, v, w) -> Tensor3:
+    """The "right" form at three words, -_cyclic(T) of right pairings with
+    swapped inner arguments; the rule of ``_jac_words`` holds for it."""
+    return _by_rotation(db, ("right",), (u, v, w), lambda x, y, z: -_cyclic(
+        lambda p, q, r: bracket_right(db, _mono(db.alg, q),
+                                      _eval_words(db, p, r)), x, y, z))
+
+
+def _pair_right_words(db: DoubleBracket, u, v, w) -> Tensor3:
+    """The "pair-right" form at three words, PR(a,b,c) = P12 C(a,c,b) with
+    C the cyclic sum of pair-right terms.  (a,c,b) is a rotation of
+    (b,a,c), C(a,c,b) = P132 C(b,a,c), so PR(a,b,c) = P12 P132 P12
+    PR(b,c,a) = P123 PR(b,c,a), and ``_by_rotation`` serves it too."""
+    return _by_rotation(db, ("pair-right",), (u, v, w), lambda x, y, z: (
+        tensor3_perm(P12, _cyclic(lambda p, q, r: bracket_pair_right(
+            db, _eval_words(db, r, p), _mono(db.alg, q)), x, z, y))))
 
 
 def jacobiator_form(db: DoubleBracket, form: str, a, b, c) -> Tensor3:
     """The Jacobiator through one of its equivalent rewritings.
 
-    * "left": the defining cyclic sum of left pairings;
+    * "left": the defining cyclic sum of left pairings (``_jac_words``);
     * "mixed": left pairing minus a right pairing minus a pair-left term;
     * "right": cyclic sum of right pairings with swapped inner arguments;
     * "pair-right": swap-conjugated cyclic sum of pair-right terms.
 
-    All four agree on every double bracket.  On monomial arguments the
-    value is memoised per bracket, and "right" and "pair-right" are
-    computed at the first rotation of the word triple only, as in
-    ``_jac_words``.  "right" is -_cyclic(T), so the rule of ``_jac_words``
-    holds for it.  "pair-right" is PR(a,b,c) = P12 C(a,c,b) with C a
-    cyclic sum; (a,c,b) is a rotation of (b,a,c), C(a,c,b) =
-    P132 C(b,a,c), so PR(a,b,c) = P12 P132 P12 PR(b,c,a) = P123 PR(b,c,a).
-    "left" on monomials is the ``_jac_words`` value itself.
+    All four agree on every double bracket.  Each is trilinear, so its
+    value is the multilinear extension of its value on word triples, which
+    is memoised per bracket; on unit monomials and an integral table it is
+    the memoised value itself.
     """
-    db, inv = _integral(db)
-    if form == "left":
-        value = functools.partial(jacobiator, db)
-    elif form == "mixed":
-        def value(a, b, c):
-            return (bracket_left(db, a, eval_bracket(db, b, c))
-                    - bracket_right(db, b, eval_bracket(db, a, c))
-                    - bracket_pair_left(db, eval_bracket(db, a, b), c))
-    elif form == "right":
-        def value(a, b, c):
-            return -_cyclic(lambda x, y, z: bracket_right(
-                db, y, eval_bracket(db, x, z)), a, b, c)
-    elif form == "pair-right":
-        def value(a, b, c):
-            return tensor3_perm(P12, _cyclic(
-                lambda x, y, z: bracket_pair_right(
-                    db, eval_bracket(db, z, x), y), a, c, b))
-    else:
+    # looked up per call, so that a name replaced in this module's globals
+    # (as a tracer does) is the one called
+    of_words = {"left": _jac_words, "mixed": _mixed_words,
+                "right": _right_words,
+                "pair-right": _pair_right_words}.get(form)
+    if of_words is None:
         raise ValueError(
             f"unknown jacobiator form {form!r}; choose from {JAC_FORMS}")
-    t = tuple(map(_unit_word, (a, b, c)))
-    if None in t:
-        return _rescaled(value(a, b, c), inv, 2)
-    for p in (a, b, c):  # a rotation is computed on this bracket's words
-        db.alg._check(p)
-    if form in ("right", "pair-right"):
-        out = _by_rotation(db, (form,), t, lambda *words: value(
-            *(_mono(db.alg, w) for w in words)))
-    else:
-        out = db._jac_cache.get((form,) + t)
-        if out is None:
-            out = db._jac_cache[(form,) + t] = value(a, b, c)
-    return _rescaled(out, inv, 2)
+    return _multilinear(db, of_words, (a, b, c), Tensor3, 2)
 
 
 def permute_args(sigma, args: tuple) -> tuple:
@@ -350,12 +355,9 @@ def weak_jacobiator(db: DoubleBracket, sigma, sigma_prime, a, b, c) -> Tensor3:
     Jacobiator; its vanishing defines the corresponding weak Poisson
     property.
     """
-    s = transposition(sigma)
-    sp = transposition(sigma_prime)
-    db, inv = _integral(db)
-    return _rescaled(_multilinear(
-        db, lambda u, v, w: _weak_words(db, s, sp, u, v, w), (a, b, c),
-        Tensor3), inv, 2)
+    s, sp = transposition(sigma), transposition(sigma_prime)
+    return _multilinear(db, lambda db, u, v, w: _weak_words(
+        db, s, sp, u, v, w), (a, b, c), Tensor3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -785,13 +787,17 @@ def twisted_jacobiator(db: DoubleBracket, side: str, alpha: AlgEndo,
     version matches it after conjugation by the (12) factor swap.
     """
     if side == "left":
-        return _cyclic(lambda x, y, z: _apply_slotwise(alpha, bracket_left(
-            db, x, eval_bracket(db, y, z)), (2,)), a, b, c)
-    if side == "right":
-        return _cyclic(lambda x, y, z: _apply_slotwise(
-            alpha, bracket_pair_right(db, eval_bracket(db, x, y), z), (0,)),
-            a, b, c)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        def term(db, x, y, z):
+            return _apply_slotwise(alpha, bracket_left(
+                db, _mono(db.alg, x), _eval_words(db, y, z)), (2,))
+    elif side == "right":
+        def term(db, x, y, z):
+            return _apply_slotwise(alpha, bracket_pair_right(
+                db, _eval_words(db, x, y), _mono(db.alg, z)), (0,))
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _multilinear(db, lambda db, u, v, w: _cyclic(
+        functools.partial(term, db), u, v, w), (a, b, c), Tensor3, 2)
 
 
 # ---------------------------------------------------------------------------

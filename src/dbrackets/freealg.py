@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -443,10 +444,6 @@ class NCPoly(_OverAlgebra):
     def homogeneous_part(self, d: int) -> "NCPoly":
         return NCPoly(self.alg, {w: c for w, c in self.terms.items() if len(w) == d})
 
-    def coeff(self, word: Iterable):
-        w = tuple(self.alg.gen_index(g) for g in word)
-        return self.terms.get(w, 0)
-
     def __str__(self):
         return self._format(self.alg.format_word)
 
@@ -461,27 +458,47 @@ def poly_mul(p: NCPoly, q: NCPoly) -> NCPoly:
 # words of more than MAX_WORD_LENGTH letters, before multiplying it out.
 # They admit the 729 words of (x1+x2+x3)^6 and x^1500.  A power takes one
 # product per unit of its exponent, so the exponent counts as letters even
-# on a constant.
+# on a constant.  They also refuse one whose coefficients may have more
+# digits than the interpreter converts to text
+# (``sys.get_int_max_str_digits()``), since no printer could show them.
 MAX_TERMS = 1024
 MAX_WORD_LENGTH = 2048
 
 
-def _expansion_breach(terms: int, letters: int):
+def _expansion_breach(terms: int, letters: int, digits: int):
     """Why an expansion of up to ``terms`` terms, with words of up to
-    ``letters`` letters, is over the budgets; None when it is not."""
+    ``letters`` letters and coefficients of up to ``digits`` digits, is
+    over the budgets; None when it is not."""
+    # 0 is no limit, as on interpreters without the function
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if letters > MAX_WORD_LENGTH:
         return (f"{letters} letters per word, above the word-length budget "
                 f"of {MAX_WORD_LENGTH}")
     if terms > MAX_TERMS:
         return f"up to {terms} terms, above the term budget of {MAX_TERMS}"
+    if 0 < limit < digits:
+        return (f"coefficients of up to {digits} digits, over the "
+                f"interpreter's limit of {limit} for integer conversion")
     return None
 
 
+def _digits(p: LinComb) -> int:
+    """A bound on the decimal digits of the numerators and denominators of
+    p's coefficients: a number below 2^b has at most 1 + b log10(2)
+    digits, and log10(2) < 0.30103.  A product's coefficients have at most
+    the sum of its factors' digits, a power's e times its base's."""
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in p.terms.values()), default=0)
+    return 1 + bits * 30103 // 100000
+
+
 def _power_breach(p: NCPoly, e: int):
-    """``_expansion_breach`` of p**e, from p's terms and degree alone."""
+    """``_expansion_breach`` of p**e, from p's terms, degree and
+    coefficients alone."""
     letters = e * max(p.degree(), 1)
     return _expansion_breach(
-        0 if letters > MAX_WORD_LENGTH else len(p.terms) ** max(e, 0), letters)
+        0 if letters > MAX_WORD_LENGTH else len(p.terms) ** max(e, 0), letters,
+        e * _digits(p))
 
 
 # ---------------------------------------------------------------------------

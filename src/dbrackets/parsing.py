@@ -24,8 +24,8 @@ from typing import Optional
 
 from .bimodule import Bimodule, BimodKind
 from .dbracket import DoubleBracket
-from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Tensor2, _expansion_breach,
-                      _power_breach)
+from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Tensor2, _digits,
+                      _expansion_breach, _power_breach)
 
 
 class ParseError(ValueError):
@@ -232,7 +232,8 @@ def _parse_term(cur: _Cursor, alg: FreeAlgebra) -> NCPoly:
         q = _parse_factor(cur, alg)
         _within_budget("product", _expansion_breach(
             len(p.terms) * len(q.terms),
-            max(p.degree(), 0) + max(q.degree(), 0)), star)
+            max(p.degree(), 0) + max(q.degree(), 0),
+            _digits(p) + _digits(q)), star)
         p = p * q
     return p
 
@@ -260,7 +261,8 @@ def _parse_tensor_term(cur: _Cursor, alg: FreeAlgebra) -> Tensor2:
     if sep is not None:
         right = _parse_term(cur, alg)
         _within_budget("tensor", _expansion_breach(
-            len(left.terms) * len(right.terms), 0), sep)
+            len(left.terms) * len(right.terms), 0,
+            _digits(left) + _digits(right)), sep)
         return alg.t2(left, right)
     # a plain polynomial term stands for itself tensored with 1, which only
     # makes sense when it is 0 (the empty tensor)

@@ -220,7 +220,7 @@ def format_mat_tensor2(r: MatTensor2) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_mat_tensor2(text: str, N: int | None = None) -> MatTensor2:
+def parse_mat_tensor2(text: str) -> MatTensor2:
     terms = {}
     max_idx = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -247,6 +247,4 @@ def parse_mat_tensor2(text: str, N: int | None = None) -> MatTensor2:
             raise ValueError(f"line {lineno}: {exc.reason}") from None
         terms[key] = terms.get(key, 0) + c
         max_idx = max(max_idx, *key)
-    if N is None:
-        N = max(max_idx, 1)
-    return MatTensor2(N, terms)
+    return MatTensor2(max(max_idx, 1), terms)

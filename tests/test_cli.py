@@ -2,15 +2,19 @@
 
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dbrackets import FreeAlgebra, family_polynomial
+from dbrackets import (AlgEndo, Bimodule, DoubleBracket, FreeAlgebra,
+                       family_polynomial)
 from dbrackets.cli import main, run_text
 from dbrackets.freealg import MAX_TERMS, MAX_WORD_LENGTH
 from dbrackets.parsing import (_LINE_BREAKS, _MAX_NESTING, ParseError,
-                               format_session, parse_poly, parse_session,
-                               parse_tensor2)
+                               SessionSpec, format_session, parse_poly,
+                               parse_session, parse_tensor2)
 
 from helpers import two_gen
 
@@ -483,6 +487,40 @@ def test_a_session_coefficient_over_the_conversion_limit_exits_2():
             f"error: line 2, column {column}: {LONG_NUMBER_ERROR}\n", 2)
 
 
+# a product whose factors convert but whose coefficient would not
+NINES = "9" * 4000
+DIGITS_ERROR = ("the product has coefficients of up to 8002 digits, over "
+                "the interpreter's limit of {} for integer conversion")
+
+
+def test_a_coefficient_product_over_the_conversion_limit_exits_2(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["gradient", "classify", "--poly",
+                 f"{NINES}*{NINES}*x1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: line 1, column 4001: {DIGITS_ERROR.format(limit)}\n"
+    session = ("algebra { gens: x, y }\n"
+               f"bracket {{ <x,y> = {NINES}*{NINES}*x (x) 1 }}\n"
+               "jacobiator x y y\n")
+    assert run_text(session) == (
+        f"error: line 2, column 4019: {DIGITS_ERROR.format(limit)}\n", 2)
+    # a power counts its exponent times its base's digits, at the exponent,
+    # and a tensor the sum of its factors' digits
+    A = two_gen()
+    with pytest.raises(ParseError, match=r"^line 1, column 2002: the power "
+                       r"has coefficients of up to 6003 digits"):
+        parse_poly(A, f"{NINES[:2000]}^3")
+    with pytest.raises(ParseError, match=r"^line 1, column 4002: the tensor "
+                       r"has coefficients of up to 8002 digits"):
+        parse_tensor2(A, f"{NINES} (x) {NINES}")
+    # under the limit: 4 002 digits by the bound, 4 000 in fact
+    half = NINES[:2000]
+    assert parse_poly(A, f"{half}*{half}*x") == A.gen("x").scale(
+        int(half) ** 2)
+
+
 def test_the_budgets_admit_degree_6_and_long_words_and_bound_the_rest():
     B = FreeAlgebra(["x1", "x2", "x3"])
     assert len(family_polynomial(B, "sum-power", degree=6).terms) == 729
@@ -609,3 +647,86 @@ def test_integer_arguments_keep_their_values():
     assert run_text(VDB_SESSION + "rep jacobi -1\n") == (
         "$ check poisson\nPoisson\nstatus: ok\n"
         "error: matrix size must be >= 1\n", 2)
+
+
+# -- round trips and mutations ----------------------------------------------
+
+def _small_polys(alg, max_degree):
+    """Polynomials of up to three terms with small rational coefficients."""
+    words = sorted(alg.words_up_to(max_degree))
+    coefficients = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    return st.dictionaries(st.sampled_from(words), coefficients,
+                           max_size=3).map(alg.poly)
+
+
+# command arguments: anything a command line can hold, once quoted; a '#'
+# starts a comment and a line break ends the line, quoted or not
+_ARGS = st.text(st.characters(blacklist_characters="#" + _LINE_BREAKS,
+                              blacklist_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def session_specs(draw):
+    """A session over x, y of any kind, twisted or not, with a bracket of
+    rational entries and commands whose arguments need quoting."""
+    A = two_gen()
+    polys = _small_polys(A, 2)
+    bimodule = bracket = None
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["outer", "inner", "right", "left"]))
+        alpha, beta = (draw(st.one_of(
+            st.none(), st.tuples(polys, polys).map(
+                lambda images: AlgEndo(A, dict(zip("xy", images))))))
+            for _ in range(2))
+        bimodule = Bimodule(kind, alpha, beta, alg=A)
+        if draw(st.booleans()):
+            t2 = st.tuples(polys, polys).map(lambda pq: A.t2(*pq))
+            diagonal = t2.map(lambda d: d - d.swap())
+            bracket = DoubleBracket(bimodule, {
+                ("x", "x"): draw(diagonal), ("x", "y"): draw(t2),
+                ("y", "y"): draw(diagonal)})
+    commands = draw(st.lists(st.tuples(
+        st.sampled_from(["check", "jacobiator", "rep", "ybe", "frob"]),
+        *[_ARGS] * draw(st.integers(0, 3))), max_size=3))
+    return SessionSpec(A, bimodule, bracket, commands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(session_specs())
+def test_format_session_round_trips(spec):
+    assert parse_session(format_session(spec)) == spec
+
+
+# pieces that a mutation writes into a demo session: tokens of the grammar
+# and of command lines, quotes, comments, blanks and line breaks; no digits,
+# so a mutation never asks for a larger size or degree than the session did
+_PIECES = ["", "x", "y", "z", "(x)", "->", "{", "}", "(", ")", "<", ">", ",",
+           ";", ":", "=", "+", "-", "*", "^", "/", "#", "'", '"', " ", "\t",
+           "\n", "\r", "\x85", "--degree", "check", "\u00e9"]
+_DEMO_SESSIONS = [path.read_text() for path in sorted(
+    (Path(__file__).parent.parent / "demos" / "sessions").glob("*.session"))]
+
+
+@st.composite
+def mutated_sessions(draw):
+    """A demo session with one to four spans of up to three characters
+    replaced by a piece each."""
+    text = draw(st.sampled_from(_DEMO_SESSIONS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(i + 3, len(text))))
+        text = text[:i] + draw(st.sampled_from(_PIECES)) + text[j:]
+    return text
+
+
+@settings(max_examples=120, deadline=5000, derandomize=True)
+@given(mutated_sessions())
+def test_mutated_demo_sessions_exit_cleanly(text):
+    """Garbage is a usage error or a verdict, never an internal failure,
+    and a usage error's output ends in its one ``error:`` line."""
+    out, code = run_text(text)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = out.splitlines()
+        assert lines[-1].startswith("error: ")
+        assert sum(line.startswith("error:") for line in lines) == 1

@@ -1113,7 +1113,8 @@ def test_rational_tables_compute_on_an_integer_twin():
     words = sorted(A.words_up_to(2, min_degree=1))
     triples = [t for t in itertools.product(words, repeat=3)
                if sum(map(len, t)) <= 4]
-    twins = 0
+    alpha = AlgEndo(A, {"x": y.scale(Fraction(2, 3)), "y": x + x * y})
+    twins = twisted_nonzero = 0
     for db in _rotation_brackets(3):
         den = math.lcm(*(c.denominator for d in db.gen_table.values()
                          for c in d.terms.values()))
@@ -1139,13 +1140,25 @@ def test_rational_tables_compute_on_an_integer_twin():
                 dbracket._weak_words(db, P12, P13, *t)
         # polynomials with rational coefficients, off the monomial paths
         a, b = x.scale(Fraction(1, 3)) + y * x, y - x * x.scale(2)
-        assert jacobiator(db, a, b, x) == \
-            _ref_cyclic(lambda p, q, r: bracket_left(db, p, eval_bracket(
-                db, q, r)), a, b, x)
-        assert jacobiator(db, a, b, x) == \
-            dbracket.jacobiator_form(db, "mixed", a, b, x)
+        jac = jacobiator(db, a, b, x)
+        assert jac == _ref_cyclic(lambda p, q, r: bracket_left(
+            db, p, eval_bracket(db, q, r)), a, b, x)
+        for form in dbracket.JAC_FORMS:
+            assert dbracket.jacobiator_form(db, form, a, b, x) == jac
         assert not eval_bracket(db, a, b).is_zero()
-    assert twins >= 6
+        # the twisted Jacobiator against the cyclic sums of public calls,
+        # on polynomials and on monomials
+        for args in ((a, b, x), (x, y, x * y)):
+            for side, slot, term in (
+                    ("left", 2, lambda p, q, r: bracket_left(
+                        db, p, eval_bracket(db, q, r))),
+                    ("right", 0, lambda p, q, r: bracket_pair_right(
+                        db, eval_bracket(db, p, q), r))):
+                twisted = twisted_jacobiator(db, side, alpha, *args)
+                assert twisted == _ref_cyclic(lambda p, q, r: _slot_endo(
+                    alpha, term(p, q, r), slot), *args)
+                twisted_nonzero += bool(twisted.terms)
+    assert twins >= 6 and twisted_nonzero >= 12
     raw = DoubleBracket.from_full_table_unchecked(
         Bimodule("outer", alg=A),
         {("x", "x"): A.t2(x, A.one()).scale(Fraction(1, 2)),
