@@ -87,33 +87,40 @@ class Bimodule:
 
 
 def act(m: Bimodule, a: NCPoly, d: Tensor2, b: NCPoly) -> Tensor2:
-    """Apply the two-sided action a . d . b of the bimodule m.
-
-    Each pair of words u of A = alpha(a) and v of B = beta(b) places u and
-    v around every term of d.  That map of keys is one-to-one, so the copy
-    of d for one pair (u, v) is built without a merge; only when A or B
-    has several terms are the copies merged, where they may cancel.
-    """
+    """Apply the two-sided action a . d . b of the bimodule m: the sum of
+    cu cv u . d . v over the words u of a and v of b, each written straight
+    into one dict by ``_act_into``, where the copies may cancel."""
     m.alg._check(a)
     m.alg._check(d)
     m.alg._check(b)
-    pa = a if m.alpha.is_identity() else m.alpha(a)
-    pb = b if m.beta.is_identity() else m.beta(b)
+    data = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            _act_into(data, m, u, d, v, cu * cv)
+    return Tensor2(m.alg, data)
+
+
+def _act_into(data: dict, m: Bimodule, u, d: Tensor2, v, coeff=1) -> None:
+    """Add coeff times u . d . v into ``data`` in place, for words u and v.
+
+    Each pair of words u' of alpha(u) and v' of beta(v) (u and v
+    themselves when m is untwisted) is placed around every term of d, and
+    each term is added to ``data`` with ``_tadd``; a coefficient of 1 is
+    not multiplied.  The one loop behind ``act`` and the Leibniz
+    extension, which passes its running sum as ``data``.
+    """
     a_slot, b_slot = m.kind.slots
-    data = None
-    for u, cu in pa.terms.items():
-        for v, cv in pb.terms.items():
+    alpha, beta = m.alpha, m.beta
+    images_u = {u: 1} if alpha.is_identity() else alpha.apply_word(u).terms
+    images_v = {v: 1} if beta.is_identity() else beta.apply_word(v).terms
+    for wu, cu in images_u.items():
+        for wv, cv in images_v.items():
             pre, post = [(), ()], [(), ()]
-            pre[a_slot], post[b_slot] = u, v
-            (p1, p2), (s1, s2), c = pre, post, cu * cv
-            copy = {(p1 + w1 + s1, p2 + w2 + s2): cd * c
-                    for (w1, w2), cd in d.terms.items()}
-            if data is None:
-                data = copy
-            else:
-                for key, cd in copy.items():
-                    _tadd(data, key, cd)
-    return Tensor2(m.alg, data or {})
+            pre[a_slot], post[b_slot] = wu, wv
+            (p1, p2), (s1, s2), c = pre, post, cu * cv * coeff
+            one = c == 1
+            for (w1, w2), cd in d.terms.items():
+                _tadd(data, (p1 + w1 + s1, p2 + w2 + s2), cd if one else cd * c)
 
 
 def swap_bimodule(m: Bimodule) -> Bimodule:

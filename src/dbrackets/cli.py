@@ -319,12 +319,27 @@ def _session(session, rep: Reporter):
         name = cmd[0]
         rep.say(f"$ {' '.join(cmd)}", command=" ".join(cmd))
         try:
-            if name not in _SESSION_COMMANDS:
-                raise CommandError(f"unknown command {name!r}")
-            _SESSION_COMMANDS[name](session, list(cmd[1:]), rep)
+            _command(session, cmd, rep)
         except CommandError as exc:
             raise ParseError(str(exc), *getattr(name, "at", ())) from None
         rep.done = len(rep.lines)
+
+
+def _command(session, cmd, rep: Reporter):
+    """Run one command; a result with a coefficient too long for the
+    interpreter's integer conversion is a CommandError that names it."""
+    name = cmd[0]
+    if name not in _SESSION_COMMANDS:
+        raise CommandError(f"unknown command {name!r}")
+    try:
+        _SESSION_COMMANDS[name](session, list(cmd[1:]), rep)
+    except ValueError as exc:  # the interpreter's, raised while printing
+        if type(exc) is not ValueError or "string conversion" not in str(exc):
+            raise
+        raise CommandError(
+            f"{name}: the result has a coefficient over the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} digits for integer "
+            f"conversion") from None
 
 
 def _run(fmt: str, body) -> tuple:
@@ -366,7 +381,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     out, error, code = _run(ns.format, lambda rep: (
         _session(_read(ns.session), rep) if ns.command == "run"
-        else _SESSION_COMMANDS[ns.command](None, ns.args, rep)))
+        else _command(None, [ns.command, *ns.args], rep)))
     sys.stdout.write(out)
     sys.stderr.write(error)
     return code

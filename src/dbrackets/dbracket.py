@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bimodule import Bimodule, BimodKind, act, swap_bimodule
+from .bimodule import Bimodule, BimodKind, _act_into, swap_bimodule
 from .commpoly import CPoly, cyclic_jacobi
 from .freealg import (AlgEndo, NCPoly, Necklace, Tensor2, Tensor3, P12, P123,
                       P132, TRANSPOSITIONS, _apply_slotwise, _deglex, _expand,
@@ -138,7 +138,9 @@ def _eval_words(db: DoubleBracket, u, v) -> Tensor2:
     sum_k u[:k] * <<u_k, v>> * u[k+1:], unless it is a single letter; then
     v expands through the bimodule, <<u, v>> = sum_l v[:l] . <<u, v_l>> .
     v[l+1:].  The pieces have a one-letter argument and are memoised, so
-    the recursion is at most two calls deep.
+    the recursion is at most two calls deep.  Each piece is written
+    straight into the sum by ``_act_into``, with its prefix and suffix
+    words as they are.
     """
     out = db._eval_cache.get((u, v))
     if out is None:
@@ -152,8 +154,7 @@ def _eval_words(db: DoubleBracket, u, v) -> Tensor2:
                 piece = (_eval_words(db, u, (g,)) if second
                          else _eval_words(db, (g,), v))
                 if piece.terms:
-                    act(m, _mono(db.alg, word[:k]), piece,
-                        _mono(db.alg, word[k + 1:])).add_into(data)
+                    _act_into(data, m, word[:k], piece, word[k + 1:])
             out = Tensor2(db.alg, data)
         db._eval_cache[(u, v)] = out
     return out
@@ -195,8 +196,10 @@ def _pair(db: DoubleBracket, p: NCPoly, d: Tensor2, p_first: bool,
           factor: int, slot: int) -> Tensor3:
     """The loop of the four pairing maps: for each term c w_0 (x) w_1 of d
     and each word x of p, the bracket of x with w_factor (x first if
-    ``p_first``) gives terms u1 (x) u2, and the other word of d is put at
-    position ``slot`` of the cube term next to u1, u2."""
+    ``p_first``) gives terms u1 (x) u2, and the other word of d, ``kept``,
+    is put at position ``slot`` next to them; each cube key is built as
+    one tuple, (kept, u1, u2), (u1, kept, u2) or (u1, u2, kept), and added
+    straight into the sum."""
     db.alg._check(p)
     db, inv = _integral(db)
     data = {}
@@ -206,8 +209,9 @@ def _pair(db: DoubleBracket, p: NCPoly, d: Tensor2, p_first: bool,
             t = (_eval_words(db, x, w[factor]) if p_first
                  else _eval_words(db, w[factor], x))
             cc = c * cx
-            for u12, ci in t.terms.items():
-                _tadd(data, u12[:slot] + (kept,) + u12[slot:], cc * ci)
+            for (u1, u2), ci in t.terms.items():
+                _tadd(data, ((u1, u2, kept) if slot == 2 else (u1, kept, u2)
+                             if slot else (kept, u1, u2)), cc * ci)
     return _rescaled(Tensor3(db.alg, data), inv)
 
 

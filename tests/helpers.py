@@ -2,8 +2,8 @@
 
 import itertools
 
-from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, act,
-                       swap_bimodule, swap_equivalent)
+from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, Tensor2, Tensor3,
+                       act, swap_bimodule, swap_equivalent)
 
 
 def two_gen():
@@ -111,3 +111,70 @@ def letter_pair_eval(db, u, v, star_first):
                 t = act(star, alg.monomial(u[:k]), t, alg.monomial(u[k + 1:]))
             total = total + t
     return total
+
+
+# -- the Leibniz kernels as first written: a reference route ------------------
+
+def reference_act(m, a, d, b):
+    """The two-sided action a . d . b as first written: alpha(a) and
+    beta(b) are applied whole, each pair of their words gives one copy of
+    d with the words placed around every term, and the copies are merged
+    with ``add_into``."""
+    alg = m.alg
+    pa, pb = m.alpha(a), m.beta(b)
+    a_slot, b_slot = m.kind.slots
+    data = {}
+    for u, cu in pa.terms.items():
+        for v, cv in pb.terms.items():
+            pre, post = [(), ()], [(), ()]
+            pre[a_slot], post[b_slot] = u, v
+            (p1, p2), (s1, s2) = pre, post
+            Tensor2(alg, {(p1 + w1 + s1, p2 + w2 + s2): cd * cu * cv
+                          for (w1, w2), cd in d.terms.items()}).add_into(data)
+    return Tensor2(alg, data)
+
+
+def reference_eval(db, a, b):
+    """<<a, b>> by the Leibniz rules on the table itself (rational tables
+    included, with no integer twin): each piece goes through
+    ``reference_act`` on monomials and is merged into its sum with
+    ``add_into``, and the result is extended bilinearly."""
+    alg, memo = db.alg, {}
+    dot, star = db.bimodule, swap_bimodule(db.bimodule)
+
+    def words(u, v):
+        if (u, v) not in memo:
+            if len(u) == 1 and len(v) == 1:
+                memo[(u, v)] = db.gen_table[(u[0], v[0])]
+            else:
+                second = len(u) == 1
+                word, m = (v, dot) if second else (u, star)
+                data = {}
+                for k, g in enumerate(word):
+                    piece = words(u, (g,)) if second else words((g,), v)
+                    reference_act(m, alg.monomial(word[:k]), piece,
+                                  alg.monomial(word[k + 1:])).add_into(data)
+                memo[(u, v)] = Tensor2(alg, data)
+        return memo[(u, v)]
+
+    data = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            words(u, v).add_into(data, cu * cv)
+    return Tensor2(alg, data)
+
+
+def reference_pair(db, p, d, p_first, factor, slot):
+    """The pairing maps as first written, each cube key sliced together
+    as u12[:slot] + (kept,) + u12[slot:]; ``dbracket._pair``'s arguments."""
+    data = {}
+    for w, c in d.terms.items():
+        kept = w[1 - factor]
+        for x, cx in p.terms.items():
+            mono, other = db.alg.monomial(x), db.alg.monomial(w[factor])
+            t = (reference_eval(db, mono, other) if p_first
+                 else reference_eval(db, other, mono))
+            for u12, ci in t.terms.items():
+                key = u12[:slot] + (kept,) + u12[slot:]
+                data[key] = data.get(key, 0) + c * cx * ci
+    return Tensor3(db.alg, {key: c for key, c in data.items() if c})

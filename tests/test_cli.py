@@ -1,5 +1,6 @@
 """Session grammar, command dispatch, exit codes, determinism."""
 
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -519,6 +520,33 @@ def test_a_coefficient_product_over_the_conversion_limit_exits_2(capsys):
     half = NINES[:2000]
     assert parse_poly(A, f"{half}*{half}*x") == A.gen("x").scale(
         int(half) ** 2)
+
+
+def test_a_result_over_the_conversion_limit_names_its_command(capsys):
+    # admitted coefficients of 2 500 digits; the Jacobiator is quadratic in
+    # the table, so its value has coefficients of about 5 000
+    limit = sys.get_int_max_str_digits()
+    reason = ("{}: the result has a coefficient over the interpreter's "
+              f"limit of {limit} digits for integer conversion")
+    nines = NINES[:2500]
+    session = ("algebra { gens: x, y }\n"
+               f"bracket {{ <x,y> = {nines}*x (x) 1 }}\n"
+               "check antisym\n"
+               "jacobiator x y y\n")
+    for fmt in ("plain", "kv"):
+        out, code = run_text(session, fmt)
+        assert code == 2
+        assert out.endswith(f"\nerror: line 4, column 1: "
+                            f"{reason.format('jacobiator')}\n")
+        assert out.count("error:") == 1 and "jacobiator x y y" not in out
+    # the console subcommands name themselves
+    potential = "+".join("*".join(p) for p in
+                         itertools.permutations(("x1", "x2", "x3")))
+    assert main(["gradient", "classify", "--poly",
+                 f"{NINES[:2200]}*({potential})"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason.format('gradient')}\n"
 
 
 def test_the_budgets_admit_degree_6_and_long_words_and_bound_the_rest():

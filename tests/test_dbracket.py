@@ -13,15 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbrackets import (AlgEndo, Bimodule, BimodKind, CompositeAuto,
-                       DoubleBracket, FreeAlgebra, Necklace, SwapAuto, Tensor2,
-                       Tensor3, TwistPairAuto, apply_equivalence, bracket_left,
-                       bracket_pair_left, bracket_pair_right, bracket_right,
-                       bullet_bracket, check_antisymmetry, check_morphism,
-                       eval_bracket, is_poisson, is_weak_poisson,
-                       jacobiator, lie_on_necklaces, loday_defect,
-                       mult_bracket, necklace_project, swap_bimodule,
-                       swap_equivalent, sym_jacobi_defect, tensor3_perm,
-                       twisted_jacobiator, weak_jacobiator)
+                       DoubleBracket, FreeAlgebra, NCPoly, Necklace, SwapAuto,
+                       Tensor2, Tensor3, TwistPairAuto, apply_equivalence,
+                       bracket_left, bracket_pair_left, bracket_pair_right,
+                       bracket_right, bullet_bracket, check_antisymmetry,
+                       check_morphism, eval_bracket, is_poisson,
+                       is_weak_poisson, jacobiator, lie_on_necklaces,
+                       loday_defect, mult_bracket, necklace_project,
+                       swap_bimodule, swap_equivalent, sym_jacobi_defect,
+                       tensor3_perm, twisted_jacobiator, weak_jacobiator)
 from dbrackets import dbracket
 from dbrackets.bimodule import act
 from dbrackets.dbracket import JacVerdict, _eval_words
@@ -29,8 +29,9 @@ from dbrackets.freealg import P12, P13, P123, P132
 from dbrackets.gradient import family_polynomial, gradient_bracket
 
 from helpers import (bracket_corpus, letter_pair_eval, monomials,
-                     outer_poisson, right_const, triples, twisted_ctr, two_gen,
-                     xy)
+                     outer_poisson, reference_act, reference_eval,
+                     reference_pair, right_const, triples, twisted_ctr,
+                     two_gen, xy)
 
 
 # -- Leibniz extension -------------------------------------------------------
@@ -237,6 +238,47 @@ def test_pairing_maps_equal_eval_bracket_per_term():
             assert got == want
             nonzero += not got.is_zero()
     assert nonzero >= 40
+
+
+@pytest.mark.parametrize("kind", [k.value for k in BimodKind])
+def test_leibniz_kernels_match_the_reference_route(kind):
+    """act, eval_bracket and the four pairing maps equal the route they
+    replaced (``helpers.reference_*``) on seeded random tables: untwisted,
+    twisted by the swap x <-> y and by the non-invertible x -> x*y on
+    either side, with integer and rational entries and words of up to
+    four letters."""
+    A = two_gen()
+    x, y = xy(A)
+    swap, grow = AlgEndo(A, {"x": y, "y": x}), AlgEndo(A, {"x": x * y, "y": y})
+    rng = random.Random(kind)
+
+    def terms(coeffs, max_len, pair):
+        def word():
+            return tuple(rng.randrange(2) for _ in range(rng.randint(0, max_len)))
+        return {(word(), word()) if pair else word(): rng.choice(coeffs)
+                for _ in range(rng.randint(1, 3))}
+
+    nonzero = 0
+    for alpha, beta in ((None, None), (swap, swap), (grow, None), (None, grow)):
+        m = Bimodule(kind, alpha, beta, alg=A)
+        for coeffs in ([1, -1, 2, -3], [1, Fraction(1, 2), Fraction(-2, 3)]):
+            db = DoubleBracket.from_full_table_unchecked(m, {
+                (i, j): Tensor2(A, terms(coeffs, 2, True))
+                for i, j in itertools.product(range(2), repeat=2)})
+            for _ in range(4):
+                a, b = (NCPoly(A, terms(coeffs, 4, False)) for _ in range(2))
+                d = Tensor2(A, terms(coeffs, 2, True))
+                assert act(m, a, d, b) == reference_act(m, a, d, b)
+                assert eval_bracket(db, a, b) == reference_eval(db, a, b)
+                for got, p_first, factor, slot in (
+                        (bracket_left(db, a, d), True, 0, 2),
+                        (bracket_right(db, a, d), True, 1, 0),
+                        (bracket_pair_left(db, d, b), False, 0, 1),
+                        (bracket_pair_right(db, d, b), False, 1, 0)):
+                    p = a if p_first else b
+                    assert got == reference_pair(db, p, d, p_first, factor, slot)
+                    nonzero += not got.is_zero()
+    assert nonzero >= 80  # of 128 pairings
 
 
 # -- Jacobiators --------------------------------------------------------------

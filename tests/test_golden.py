@@ -33,6 +33,9 @@ CASES = {
     # rotations is evaluated, 3 of 27
     "gradient-sum-power-4": (
         ["gradient", "classify", "--family", "sum-power", "--degree", "4"], 0),
+    # 243 words: the Leibniz kernels on tensors of hundreds of terms
+    "gradient-sum-power-5": (
+        ["gradient", "classify", "--family", "sum-power", "--degree", "5"], 0),
     "gradient-custom-sym-x1x1x2x3": (
         ["gradient", "classify", "--poly", SYM_X1X1X2X3], 1),
     "gradient-custom-sym-x1x1x2x3-kv": (

@@ -10,15 +10,15 @@ import pytest
 
 from dbrackets import (AlgEndo, Bimodule, BimodKind, CPoly, DoubleBracket,
                        FreeAlgebra, abelianized_bracket, check_rep_morphism,
-                       eval_nc, express_in_trace_basis, induce, jacobi_defect,
-                       jacobi_sweep, matrix_tensor_bracket, mult_bracket,
-                       poisson_biderivation, poisson_eval, swap_equivalent,
-                       trace_bracket)
+                       eval_bracket, eval_nc, express_in_trace_basis, induce,
+                       jacobi_defect, jacobi_sweep, matrix_tensor_bracket,
+                       mult_bracket, poisson_biderivation, poisson_eval,
+                       swap_equivalent, trace_bracket)
 from dbrackets import repspace
 from dbrackets.repspace import MAX_ENTRY_VARIABLES, PoissonStructure
 from dbrackets.ybe import casimir, entry_bracket
 
-from helpers import (monomials, outer_generic, outer_poisson,
+from helpers import (inner_generic, monomials, outer_generic, outer_poisson,
                      right_const, right_generic, twisted_ctr, two_gen, xy)
 
 
@@ -307,20 +307,50 @@ def test_trace_bracket_outer_matches_mult_bracket(n):
                 eval_nc(mult_bracket(db, a, b), n).trace()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_bracket_inner_matches_mult_bracket(n):
+    A = two_gen()
+    for db in (swap_equivalent(outer_poisson(A)), inner_generic(A)):
+        assert db.kind() is BimodKind.INNER
+        ps = induce(db, n)
+        words = monomials(A, 2 if n == 3 else 3)
+        for a in words:
+            for b in words:
+                assert trace_bracket(ps, a, b) == \
+                    eval_nc(mult_bracket(db, a, b), n).trace()
+
+
+def _product_of_traces(d, n):
+    """sum c tr X(w') tr X(w'') over the terms c w' (x) w'' of d."""
+    expect = CPoly.zero()
+    for (w1, w2), c in d.terms.items():
+        expect = expect + (eval_nc(d.alg.monomial(w1), n).trace()
+                           * eval_nc(d.alg.monomial(w2), n).trace()).scale(c)
+    return expect
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_trace_bracket_right_is_product_of_traces(n):
-    from dbrackets import eval_bracket
     A = two_gen()
     db = right_const(A)
     ps = induce(db, n)
     for a in monomials(A, 3):
         for b in monomials(A, 3):
-            d = eval_bracket(db, a, b)
-            expect = CPoly.zero()
-            for (w1, w2), c in d.terms.items():
-                expect = expect + (eval_nc(A.monomial(w1), n).trace()
-                                   * eval_nc(A.monomial(w2), n).trace()).scale(c)
-            assert trace_bracket(ps, a, b) == expect
+            assert trace_bracket(ps, a, b) == \
+                _product_of_traces(eval_bracket(db, a, b), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_bracket_left_is_product_of_traces(n):
+    A = two_gen()
+    for db in (swap_equivalent(right_const(A)), swap_equivalent(right_generic(A))):
+        assert db.kind() is BimodKind.LEFT
+        ps = induce(db, n)
+        words = monomials(A, 2 if n == 3 else 3)
+        for a in words:
+            for b in words:
+                assert trace_bracket(ps, a, b) == \
+                    _product_of_traces(eval_bracket(db, a, b), n)
 
 
 def test_trace_bracket_right_constant_traces():
