@@ -45,7 +45,7 @@ class DoubleBracket:
     hidden integer twin (``freealg._integer_twin``).
     """
 
-    __slots__ = ("bimodule", "gen_table", "alg", "_star",
+    __slots__ = ("bimodule", "gen_table", "alg", "_star", "_antisymmetric",
                  "_eval_cache", "_jac_cache", "_twin", "_inv", "__weakref__")
 
     def __init__(self, bimodule: Bimodule, gen_table: dict, *, validate: bool = True):
@@ -69,12 +69,18 @@ class DoubleBracket:
             for j in range(alg.ngens):
                 table.setdefault((i, j), zero)
         self.gen_table = table
+        # True once validated; an unchecked table is checked on demand
+        # (``_is_antisymmetric``)
+        self._antisymmetric = validate or None
         self._star = swap_bimodule(bimodule)
         self._eval_cache = {}
         self._jac_cache = {}
         twin, self._inv = _integer_twin(table)
-        self._twin = (None if twin is None
-                      else DoubleBracket(bimodule, twin, validate=False))
+        self._twin = None
+        if twin is not None:
+            # D times the table, so antisymmetric exactly when the table is
+            self._twin = DoubleBracket(bimodule, twin, validate=False)
+            self._twin._antisymmetric = self._antisymmetric
 
     @classmethod
     def from_pairs(cls, bimodule: Bimodule, entries: dict) -> "DoubleBracket":
@@ -438,13 +444,37 @@ def _word_triples(alg, degree_bound):
 
 
 # The Jacobiator form that vanishes on all of A once it vanishes on
-# generator triples, per untwisted kind: it is a derivation in each slot
-# there.  None is the Jacobiator itself, a pair names the (sigma, sigma')
-# of a weak Jacobiator.
+# generator triples, per untwisted kind and on a cyclically antisymmetric
+# table (``_is_antisymmetric``): it is a derivation in each slot there.
+# None is the Jacobiator itself, a pair names the (sigma, sigma') of a
+# weak Jacobiator; with ``_WEAK_CLASS`` the right kind is exact for
+# (12)(12), (13)(13), (23)(23) and the left for (12)(13), (13)(23), (23)(12).
 _EXACT_FORM = {BimodKind.OUTER: None, BimodKind.INNER: None,
                BimodKind.RIGHT: ("12", "12"), BimodKind.LEFT: ("12", "13")}
 
+# The nine weak Jacobiators are three functions.  J(t) = P123 J(rho t) for
+# the rotation rho (a,b,c) -> (b,c,a), by the cyclic sum, so sigma J(sigma' t)
+# = sigma P123^k J(rho^k sigma' t): the pairs (sigma, sigma') and
+# (sigma P123^k, rho^k sigma') have one weak Jacobiator, on every table.  Each
+# pair maps to the member of its class with sigma = (12).
+_WEAK_CLASS = {("13", "13"): ("12", "12"), ("23", "23"): ("12", "12"),
+               ("13", "23"): ("12", "13"), ("23", "12"): ("12", "13"),
+               ("13", "12"): ("12", "23"), ("23", "13"): ("12", "23")}
+
 _TRANSPOSITION_NAME = {p: name for name, p in TRANSPOSITIONS.items()}
+
+
+def _is_antisymmetric(db: DoubleBracket) -> bool:
+    """Is the generator table cyclically antisymmetric, <<g_j, g_i>> =
+    -swap(<<g_i, g_j>>) on every pair?  Decided once per bracket: the
+    validating constructors guarantee it, an integer twin takes the answer
+    of its table's source, and an unchecked table is compared entry by
+    entry at the first call."""
+    if db._antisymmetric is None:
+        table = db.gen_table
+        db._antisymmetric = all(d == -table[(j, i)].swap()
+                                for (i, j), d in table.items())
+    return db._antisymmetric
 
 
 def _maps_table_to_signed_self(table: dict, tau: list) -> bool:
@@ -510,7 +540,8 @@ def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
     """Decide or bound-verify the vanishing of the double Jacobiator.
 
     Exact over generator triples where ``_EXACT_FORM`` names the Jacobiator
-    (the untwisted outer and inner kinds); elsewhere a sweep of word
+    (the untwisted outer and inner kinds) and the table is cyclically
+    antisymmetric (``_is_antisymmetric``); elsewhere a sweep of word
     triples up to the bound, VerifiedUpToDegree unless a witness appears.
 
     Both sweeps evaluate one triple per rotation class, the first in sweep
@@ -537,11 +568,18 @@ def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
                     degree_bound: int = 4) -> JacVerdict:
     """Decide or bound-verify the vanishing of the weak double Jacobiator.
 
-    Exact over generator triples where ``_EXACT_FORM`` names this pair:
-    untwisted right with ((12), (12)), untwisted left with ((12), (13)).
+    The nine pairs are three classes, {(12)(12), (13)(13), (23)(23)},
+    {(12)(13), (13)(23), (23)(12)} and {(12)(23), (13)(12), (23)(13)}:
+    J(t) = P123 J(rho t) for the rotation rho, so (sigma, sigma') and
+    (sigma P123^k, rho^k sigma') have one weak Jacobiator (``_WEAK_CLASS``).
+    The sweep evaluates the class's member with sigma = (12), and the
+    verdict names the requested pair.  Exact over generator triples where
+    ``_EXACT_FORM`` names that member and the table is cyclically
+    antisymmetric: on untwisted right brackets for the class of
+    ((12), (12)), on untwisted left ones for the class of ((12), (13)).
     The exact sweep evaluates one triple per orbit of relabellings within
     blocks of generators (``_verdict``).  Elsewhere a sweep of every word
-    triple up to the bound; no rotation rule is proved for weak forms, so
+    triple up to the bound; no rotation rule is applied to weak forms, so
     no triple is skipped.  Their two Jacobiators are shared by rotation,
     though: ``_jac_words`` computes one cyclic sum per rotation class and
     permutes it for the others.
@@ -552,6 +590,14 @@ def is_weak_poisson(db: DoubleBracket, sigma, sigma_prime,
 def _verdict(db: DoubleBracket, pair, degree_bound: int) -> JacVerdict:
     """The verdict of the first nonzero Jacobiator, or weak Jacobiator of
     a pair of transpositions, in the sweep that ``_EXACT_FORM`` picks.
+
+    A weak pair is swept as the member of its class with sigma = (12)
+    (``_WEAK_CLASS``), the same function, so the witness and defect are
+    those of the requested pair, and the verdict keeps its names.  A sweep
+    is exact only on an untwisted bracket whose table is cyclically
+    antisymmetric (``_is_antisymmetric``): the Leibniz extension of an
+    unchecked table need not make the exact form a derivation in each
+    slot, so it may vanish on generator triples and not on words.
 
     An exact sweep first finds the blocks of generators that relabellings
     tau with <<tau a, tau b>> = +-(tau (x) tau)<<a, b>> permute
@@ -568,17 +614,18 @@ def _verdict(db: DoubleBracket, pair, degree_bound: int) -> JacVerdict:
     """
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
-    form = None
+    names, form = (None, None), None
     if pair is not None:
-        s, sp = (transposition(t) for t in pair)
-        form = _TRANSPOSITION_NAME[s], _TRANSPOSITION_NAME[sp]
-    names = form or (None, None)
+        names = tuple(_TRANSPOSITION_NAME[transposition(t)] for t in pair)
+        form = _WEAK_CLASS.get(names, names)
+        s, sp = map(transposition, form)
     holds = JacVerdict("Poisson" if form is None else "WeakPoisson", *names)
     if db.is_zero():
         return holds
     db, inv = _integral(db)
     alg = db.alg
-    exact = db.bimodule.is_untwisted() and _EXACT_FORM[db.kind()] == form
+    exact = (db.bimodule.is_untwisted() and _EXACT_FORM[db.kind()] == form
+             and _is_antisymmetric(db))
     if exact:
         triples = (((i,), (j,), (k,)) for i, j, k in _orbit_firsts(
             _gen_triples(alg), _relabelling_blocks(db), form is None))

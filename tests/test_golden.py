@@ -47,7 +47,7 @@ CASES = {
     "rep-rational": (["run", str(SESSIONS / "rational_outer.session")], 1),
 }
 for _name, _code in (("constant_right_weak", 1), ("linear_poisson", 0),
-                     ("twisted_not_poisson", 1)):
+                     ("twisted_not_poisson", 1), ("weak_classes", 1)):
     _path = str(SESSIONS / f"{_name}.session")
     CASES[f"session-{_name}"] = (["run", _path], _code)
     CASES[f"session-{_name}-kv"] = (["--format", "kv", "run", _path], _code)
