@@ -13,8 +13,8 @@ exact rational arithmetic.
 from .bimodule import (Bimodule, BimodKind, SwapCommutingReport, act,
                        check_swap_commuting, swap_bimodule)
 from .commpoly import CPoly, poisson_biderivation
-from .dbracket import (AntisymReport, CompositeAuto, DoubleBracket, JacVerdict,
-                       SwapAuto, Tensor2Auto, TwistPairAuto, apply_equivalence,
+from .dbracket import (AntisymReport, DoubleBracket, JacVerdict, SwapAuto,
+                       Tensor2Auto, TwistPairAuto, apply_equivalence,
                        bracket_left, bracket_pair_left, bracket_pair_right,
                        bracket_right, bullet_bracket, check_antisymmetry,
                        check_morphism, eval_bracket,
@@ -24,22 +24,17 @@ from .dbracket import (AntisymReport, CompositeAuto, DoubleBracket, JacVerdict,
                        sym_jacobi_defect, sym_necklace_bracket,
                        twisted_jacobiator, weak_jacobiator)
 from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Necklace, Tensor2, Tensor3,
-                      apply_endo, apply_endo_tensor2, apply_endo_tensor3,
-                      necklace_project, perm_compose, perm_invert, poly_mul,
-                      tensor2_alg_mul, tensor3_perm, transposition,
-                      word_reversal)
+                      apply_endo, apply_endo_tensor2, necklace_project,
+                      perm_invert, tensor3_perm, transposition)
 from .gradient import (ClassifyReport, classify, double_derivation,
-                       family_polynomial, gradient_bracket,
-                       gradient_bracket_unchecked, gradient_gen_table,
-                       is_fully_noncommutative, leading_part_poisson,
-                       symmetrize)
-from .parsing import (ParseError, SessionSpec, format_session, parse_poly,
-                      parse_rational, parse_session, parse_tensor2)
+                       family_polynomial, gradient_bracket, gradient_gen_table,
+                       is_fully_noncommutative, symmetrize)
+from .parsing import (ParseError, SessionSpec, parse_poly, parse_rational,
+                      parse_session, parse_tensor2)
 from .repspace import (EntryVar, MatPoly, PoissonStructure, RepJacobiReport,
-                       abelianized_bracket, check_rep_morphism, entry_name,
-                       eval_nc, express_in_trace_basis, induce, jacobi_defect,
-                       jacobi_sweep, matrix_tensor_bracket, poisson_eval,
-                       trace_bracket)
+                       check_rep_morphism, entry_name, eval_nc, induce,
+                       jacobi_defect, jacobi_sweep, matrix_tensor_bracket,
+                       poisson_eval, trace_bracket)
 from .ybe import (EntryBracket, MatTensor2, MatTensor3, casimir,
                   check_entry_jacobi, cybe_defect, entry_bracket,
                   format_mat_tensor2, parse_mat_tensor2, standard_r)

@@ -21,8 +21,8 @@ from .dbracket import (check_antisymmetry, is_poisson, is_weak_poisson,
                        jacobiator)
 from .freealg import FreeAlgebra
 from .gradient import classify
-from .parsing import (ParseError, SessionSpec, parse_integer, parse_poly,
-                      parse_rational, parse_session)
+from .parsing import (_LINE_BREAKS, ParseError, SessionSpec, parse_integer,
+                      parse_poly, parse_rational, parse_session)
 from .repspace import (induce, jacobi_sweep, matrix_tensor_bracket,
                        trace_bracket)
 from .ybe import (MAX_MATRIX_SIZE, check_entry_jacobi, cybe_defect,
@@ -356,15 +356,19 @@ def _run(fmt: str, body) -> tuple:
 
 
 def _failure(exc: Exception) -> tuple:
-    """The ``error:`` line and exit code for an exception at the CLI."""
+    """The ``error:`` line and exit code for an exception at the CLI; a line
+    break that the message quotes from an argument is escaped."""
+    text = str(exc).translate({ord(c): repr(c)[1:-1] for c in _LINE_BREAKS})
     if isinstance(exc, (ValueError, OSError)):  # ParseError, CommandError too
-        return f"error: {exc}", USAGE
-    return f"error: internal failure ({type(exc).__name__}): {exc}", INTERNAL
+        return f"error: {text}", USAGE
+    return f"error: internal failure ({type(exc).__name__}): {text}", INTERNAL
 
 
 def main(argv=None) -> int:
+    # ybe and gradient get every argument, '-x' and '--=x' too (no prefix
+    # characters, no abbreviations), and refuse a bad one on an error: line
     parser = argparse.ArgumentParser(
-        prog="dbrackets",
+        prog="dbrackets", allow_abbrev=False,
         description="exact double-bracket computations and verdicts")
     parser.add_argument("--format", choices=("plain", "kv"), default="plain")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -372,11 +376,10 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a session file ('-' for stdin)")
     p_run.add_argument("session")
 
-    p_ybe = sub.add_parser("ybe", help="matrix Yang-Baxter checks")
-    p_ybe.add_argument("args", nargs=argparse.REMAINDER)
-
-    p_grad = sub.add_parser("gradient", help="gradient bracket classifier")
-    p_grad.add_argument("args", nargs=argparse.REMAINDER)
+    for name, text in (("ybe", "matrix Yang-Baxter checks"),
+                       ("gradient", "gradient bracket classifier")):
+        sub.add_parser(name, help=text, prefix_chars="\0", add_help=False
+                       ).add_argument("args", nargs=argparse.REMAINDER)
 
     ns = parser.parse_args(argv)
     out, error, code = _run(ns.format, lambda rep: (

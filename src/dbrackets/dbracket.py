@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .bimodule import Bimodule, BimodKind, _act_into, swap_bimodule
 from .commpoly import CPoly, cyclic_jacobi
@@ -695,10 +695,10 @@ def check_antisymmetry(db: DoubleBracket, degree_bound: int = 3) -> AntisymRepor
 class Tensor2Auto:
     """An automorphism of A (x) A commuting with the swap automorphism.
 
-    Only the swap itself, diagonal twists by an algebra automorphism, and
-    composites of those are representable; the commutation requirement
-    holds for these by construction and is what makes the transported
-    structure a double bracket again.
+    Only the swap itself and diagonal twists by an algebra automorphism are
+    representable; a composite is one ``apply_equivalence`` per factor.  The
+    commutation requirement holds for these by construction and is what
+    makes the transported structure a double bracket again.
     """
 
     def apply(self, d: Tensor2) -> Tensor2:
@@ -746,24 +746,6 @@ class TwistPairAuto(Tensor2Auto):
         return f"<TwistPairAuto {self.alpha}>"
 
 
-class CompositeAuto(Tensor2Auto):
-    def __init__(self, parts: Iterable[Tensor2Auto]):
-        self.parts = list(parts)
-
-    def apply(self, d: Tensor2) -> Tensor2:
-        for f in self.parts:
-            d = f.apply(d)
-        return d
-
-    def transport(self, m: Bimodule) -> Bimodule:
-        for f in self.parts:
-            m = f.transport(m)
-        return m
-
-    def __repr__(self):
-        return f"<CompositeAuto {self.parts}>"
-
-
 def apply_equivalence(db: DoubleBracket, psi: Tensor2Auto) -> DoubleBracket:
     """Transport a double bracket along an automorphism of A (x) A.
 
@@ -772,7 +754,7 @@ def apply_equivalence(db: DoubleBracket, psi: Tensor2Auto) -> DoubleBracket:
     untwisted kind this produces the matching twisted kind.
     """
     if not isinstance(psi, Tensor2Auto):
-        raise ValueError("psi must be a Swap/TwistPair composite automorphism")
+        raise ValueError("psi must be a SwapAuto or a TwistPairAuto")
     table = {key: psi.apply(d) for key, d in db.gen_table.items()}
     return DoubleBracket(psi.transport(db.bimodule), table)
 

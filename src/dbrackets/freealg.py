@@ -45,11 +45,6 @@ P132 = (3, 1, 2)  # 1->3->2->1
 TRANSPOSITIONS = {"12": P12, "13": P13, "23": P23}
 
 
-def perm_compose(s, r):
-    """Composition s*r acting as (s*r)(i) = s(r(i))."""
-    return (s[r[0] - 1], s[r[1] - 1], s[r[2] - 1])
-
-
 def perm_invert(s):
     inv = [0, 0, 0]
     for i, si in enumerate(s):
@@ -441,16 +436,8 @@ class NCPoly(_OverAlgebra):
         """Maximal word length; -1 for the zero element."""
         return max((len(w) for w in self.terms), default=-1)
 
-    def homogeneous_part(self, d: int) -> "NCPoly":
-        return NCPoly(self.alg, {w: c for w, c in self.terms.items() if len(w) == d})
-
     def __str__(self):
         return self._format(self.alg.format_word)
-
-
-def poly_mul(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Exact product in the free algebra (concatenation of words)."""
-    return p * q
 
 
 # The expansion budgets.  The text grammar and the gradient families refuse
@@ -521,11 +508,6 @@ class Tensor3(_OverAlgebra):
 
     __slots__ = ()
     _key_order = staticmethod(_tensor_order)
-
-
-def tensor2_alg_mul(d: Tensor2, e: Tensor2) -> Tensor2:
-    """Componentwise multiplication (a1 (x) b1)(a2 (x) b2) = a1*a2 (x) b1*b2."""
-    return d * e
 
 
 # sigma -> the 0-based positions sigma^{-1}(1), sigma^{-1}(2), sigma^{-1}(3)
@@ -644,9 +626,13 @@ def apply_endo(e: AlgEndo, p: NCPoly) -> NCPoly:
 
 
 def _apply_slotwise(e: AlgEndo, t, slots):
-    """t with e applied to the words in the given slots of every key, over
-    e's codomain; the other slots keep their words, so a map between two
-    algebras must be given every slot."""
+    """t, which lives over e's domain, with e applied to the words in the
+    given slots of every key, over e's codomain; the other slots keep their
+    words, so a map between two algebras must be given every slot."""
+    e.domain._check(t)
+    if (len(slots) < (3 if type(t) is Tensor3 else 2)
+            and e.domain.names != e.codomain.names):
+        raise ValueError("a map between two algebras must map every slot")
     data = {}
     for key, c in t.terms.items():
         _expand(data, [e.apply_word(w) if s in slots
@@ -658,16 +644,6 @@ def _apply_slotwise(e: AlgEndo, t, slots):
 def apply_endo_tensor2(e: AlgEndo, d: "Tensor2") -> "Tensor2":
     """Apply e (x) e to an element of the tensor square."""
     return _apply_slotwise(e, d, (0, 1))
-
-
-def apply_endo_tensor3(e: AlgEndo, t: "Tensor3") -> "Tensor3":
-    """Apply e (x) e (x) e to an element of the tensor cube."""
-    return _apply_slotwise(e, t, (0, 1, 2))
-
-
-def word_reversal(p: NCPoly) -> NCPoly:
-    """The anti-automorphism reversing every word."""
-    return NCPoly(p.alg, {w[::-1]: c for w, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------

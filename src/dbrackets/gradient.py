@@ -102,12 +102,6 @@ def gradient_bracket(f: NCPoly) -> DoubleBracket:
                          gradient_gen_table(f))
 
 
-def gradient_bracket_unchecked(f: NCPoly) -> DoubleBracket:
-    """The same table without any antisymmetry validation (for study only)."""
-    return DoubleBracket.from_full_table_unchecked(
-        Bimodule(BimodKind.OUTER, alg=f.alg), gradient_gen_table(f))
-
-
 def symmetrize(alg: FreeAlgebra, letters, max_len: int = 7) -> NCPoly:
     """Sum the word over all permutations of its positions, multiplicities kept.
 
@@ -212,17 +206,3 @@ def classify(alg: FreeAlgebra, family: str, **kwargs) -> ClassifyReport:
         if not d.is_zero():
             defects[alg.names[k]] = d
     return ClassifyReport(family, f, verdict, not defects, defects)
-
-
-def leading_part_poisson(f: NCPoly) -> JacVerdict:
-    """Verdict of the bracket attached to the top-degree part of f.
-
-    When the top part fails to be Poisson, so does every potential with
-    that top part; this realises the degree-filtration argument.
-    """
-    if f.is_zero():
-        raise ValueError("the zero potential has no leading part")
-    if not is_fully_noncommutative(f):
-        raise ValueError("potential is not fully non-commutative")
-    top = f.homogeneous_part(f.degree())
-    return is_poisson(gradient_bracket(top))

@@ -455,29 +455,3 @@ def parse_session(text: str) -> SessionSpec:
         except ValueError as exc:
             raise ParseError(f"bad command line {raw!r}: {exc}", *at) from None
     return SessionSpec(alg, bimodule, bracket, commands)
-
-
-def format_session(spec: SessionSpec) -> str:
-    """Canonical text whose re-parse is structurally equal to the spec."""
-    lines = [f"algebra {{ gens: {', '.join(spec.algebra.names)} }}"]
-    if spec.bimodule is not None:
-        parts = [f"kind: {spec.bimodule.kind}"]
-        for label, endo in (("alpha", spec.bimodule.alpha),
-                            ("beta", spec.bimodule.beta)):
-            if not endo.is_identity():
-                imgs = ", ".join(f"{spec.algebra.names[i]} -> {endo.images[i]}"
-                                 for i in range(spec.algebra.ngens))
-                parts.append(f"{label}: {imgs}")
-        lines.append(f"bimodule {{ {' ; '.join(parts)} }}")
-    if spec.bracket is not None:
-        names = spec.algebra.names
-        entries = []
-        for i in range(spec.algebra.ngens):
-            for j in range(i, spec.algebra.ngens):
-                d = spec.bracket.gen_table[(i, j)]
-                if not d.is_zero():
-                    entries.append(f"<{names[i]},{names[j]}> = {d}")
-        lines.append(f"bracket {{ {' ; '.join(entries) if entries else ''} }}")
-    for cmd in spec.commands:
-        lines.append(" ".join(shlex.quote(tok) for tok in cmd))
-    return "\n".join(lines) + "\n"

@@ -14,13 +14,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .bimodule import BimodKind
 from .commpoly import CPoly, cyclic_jacobi, poisson_biderivation
 from .dbracket import DoubleBracket
-from .freealg import (AlgEndo, FreeAlgebra, NCPoly, Necklace, _first_failure,
+from .freealg import (AlgEndo, FreeAlgebra, NCPoly, _first_failure,
                       _integer_twin, _integral, _nonzero, _rescaled, _word_image)
 
 # entry variables are (generator index, row, col) with 1-based row/col
@@ -304,6 +303,8 @@ def _jacobi_sweep(ps: PoissonStructure, increasing: bool) -> RepJacobiReport:
 
 def trace_bracket(ps: PoissonStructure, a: NCPoly, b: NCPoly) -> CPoly:
     """{tr X(a), tr X(b)} computed through the biderivation extension."""
+    ps.alg._check(a)
+    ps.alg._check(b)
     return poisson_eval(ps, eval_nc(a, ps.n).trace(), eval_nc(b, ps.n).trace())
 
 
@@ -320,6 +321,8 @@ def matrix_tensor_bracket(ps: PoissonStructure, convention: str,
     """
     if convention not in ("vdb", "tensor"):
         raise ValueError(f"convention must be 'vdb' or 'tensor', got {convention!r}")
+    ps.alg._check(a)
+    ps.alg._check(b)
     n = ps.n
     ps, inv = _integral(ps)
     twist = _twist_of(ps)
@@ -375,96 +378,3 @@ def check_rep_morphism(phi: AlgEndo, db1: DoubleBracket, db2: DoubleBracket,
     return all(poisson_eval(ps2, phi_n[v], phi_n[w])
                == ps1.pair_bracket(v, w).substitute(phi_n.__getitem__)
                for v, w in itertools.product(ps1.variables(), repeat=2))
-
-
-def abelianized_bracket(db: DoubleBracket) -> PoissonStructure:
-    """The structure induced on commuting variables, i.e. size-1 matrices.
-
-    Right- and left-kind brackets descend to the abelianization, and the
-    size-1 coordinate ring realises it with x_i identified with the single
-    entry of the generic 1x1 matrix.
-    """
-    if db.kind() not in (BimodKind.RIGHT, BimodKind.LEFT):
-        raise ValueError("only right- and left-kind brackets descend to "
-                         "the abelianization")
-    return induce(db, 1)
-
-
-# ---------------------------------------------------------------------------
-# trace-function closure
-# ---------------------------------------------------------------------------
-
-def _trace_word_functions(alg: FreeAlgebra, n: int, max_len: int):
-    """Trace functions of necklace representatives up to the length bound."""
-    seen = {}
-    for d in range(1, max_len + 1):
-        for w in alg.words(d):
-            nk = Necklace(alg, w)
-            if nk not in seen:
-                seen[nk] = eval_nc(nk.lift(), n).trace()
-    return sorted(seen.items(), key=lambda it: it[0])
-
-
-def _solve_exact(columns, target: CPoly):
-    """Solve sum_i x_i columns_i = target over the rationals, or return None."""
-    monomials = sorted(set(target.terms) | {m for col in columns
-                                            for m in col.terms})
-    rows = [[col.terms.get(m, 0) for col in columns]
-            + [target.terms.get(m, 0)] for m in monomials]
-    ncols = len(columns)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]  # int / int would be a float
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
-            return None
-    sol = [0] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
-    return sol
-
-
-def express_in_trace_basis(target: CPoly, alg: FreeAlgebra, n: int,
-                           max_word_len: int = 3) -> dict:
-    """Write a polynomial as a combination of products of trace functions.
-
-    Candidate basis elements are products of tr X(w) over necklace
-    representatives with |w| <= max_word_len, of total length up to the
-    degree of the target, together with the constant 1.  Raises ValueError
-    when the linear solve is inconsistent rather than silently accepting.
-    """
-    traces = _trace_word_functions(alg, n, max_word_len)
-    deg = max(target.degree(), 0)
-    products = [((), CPoly.one())]
-    frontier = [((), CPoly.one(), 0, 0)]
-    while frontier:
-        new_frontier = []
-        for label, poly, total, start in frontier:
-            for idx in range(start, len(traces)):
-                nk, tr = traces[idx]
-                tot = total + len(nk.word)
-                if tot > deg:
-                    continue
-                lab = label + (nk,)
-                prod = poly * tr
-                products.append((lab, prod))
-                new_frontier.append((lab, prod, tot, idx))
-        frontier = new_frontier
-    labels = [lab for lab, _ in products]
-    sol = _solve_exact([p for _, p in products], target)
-    if sol is None:
-        raise ValueError("polynomial is not a combination of trace functions "
-                         f"of words of length <= {max_word_len}")
-    return {lab: c for lab, c in zip(labels, sol) if c}

@@ -1,9 +1,11 @@
-"""Shared fixtures: algebras, a corpus of double brackets, sweep utilities."""
+"""Shared fixtures: algebras, a corpus of double brackets, sweep utilities,
+and the session printer of the round-trip test."""
 
 import itertools
+import shlex
 
-from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, Tensor2, Tensor3,
-                       act, swap_bimodule, swap_equivalent)
+from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, SessionSpec,
+                       Tensor2, Tensor3, act, swap_bimodule, swap_equivalent)
 
 
 def two_gen():
@@ -178,3 +180,29 @@ def reference_pair(db, p, d, p_first, factor, slot):
                 key = u12[:slot] + (kept,) + u12[slot:]
                 data[key] = data.get(key, 0) + c * cx * ci
     return Tensor3(db.alg, {key: c for key, c in data.items() if c})
+
+
+def format_session(spec: SessionSpec) -> str:
+    """Canonical text whose re-parse is structurally equal to the spec."""
+    lines = [f"algebra {{ gens: {', '.join(spec.algebra.names)} }}"]
+    if spec.bimodule is not None:
+        parts = [f"kind: {spec.bimodule.kind}"]
+        for label, endo in (("alpha", spec.bimodule.alpha),
+                            ("beta", spec.bimodule.beta)):
+            if not endo.is_identity():
+                imgs = ", ".join(f"{spec.algebra.names[i]} -> {endo.images[i]}"
+                                 for i in range(spec.algebra.ngens))
+                parts.append(f"{label}: {imgs}")
+        lines.append(f"bimodule {{ {' ; '.join(parts)} }}")
+    if spec.bracket is not None:
+        names = spec.algebra.names
+        entries = []
+        for i in range(spec.algebra.ngens):
+            for j in range(i, spec.algebra.ngens):
+                d = spec.bracket.gen_table[(i, j)]
+                if not d.is_zero():
+                    entries.append(f"<{names[i]},{names[j]}> = {d}")
+        lines.append(f"bracket {{ {' ; '.join(entries) if entries else ''} }}")
+    for cmd in spec.commands:
+        lines.append(" ".join(shlex.quote(tok) for tok in cmd))
+    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, MatTensor2,
                        check_antisymmetry, check_entry_jacobi, classify,
                        cybe_defect, double_derivation, entry_bracket,
                        eval_bracket, eval_nc, gradient_bracket,
-                       gradient_bracket_unchecked, induce,
+                       gradient_gen_table, induce,
                        is_fully_noncommutative, is_poisson, is_weak_poisson,
                        jacobi_sweep, jacobiator, matrix_tensor_bracket,
                        mult_bracket, standard_r, symmetrize, trace_bracket,
@@ -93,7 +93,8 @@ def _criterion_3():
     # (a) failed antisymmetry for the non-symmetric quadratic potential
     f = x1 * x2
     assert not is_fully_noncommutative(f)
-    raw = gradient_bracket_unchecked(f)
+    raw = DoubleBracket.from_full_table_unchecked(
+        Bimodule("outer", alg=A), gradient_gen_table(f))
     assert raw.entry("x2", "x3") == A.t2(one, x2)
     assert raw.entry("x3", "x2") == -A.t2(one, x2)
     assert not check_antisymmetry(raw, 2).holds

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from dbrackets import (AlgEndo, Bimodule, BimodKind, FreeAlgebra, Tensor2, act,
-                       check_swap_commuting, swap_bimodule, word_reversal)
+from dbrackets import (AlgEndo, Bimodule, BimodKind, FreeAlgebra, NCPoly,
+                       Tensor2, act, check_swap_commuting, swap_bimodule)
 from dbrackets.freealg import _tadd
 
 from helpers import monomials, two_gen, xy
@@ -167,7 +167,7 @@ def test_twisted_kinds_swap_commuting():
 
 def _reversal_action(alg):
     def action(a, d, b):
-        nb = word_reversal(b)
+        nb = NCPoly(alg, {w[::-1]: c for w, c in b.terms.items()})
         data = {}
         for (w1, w2), c in d.terms.items():
             for u, cu in a.terms.items():

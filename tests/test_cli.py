@@ -1,5 +1,7 @@
 """Session grammar, command dispatch, exit codes, determinism."""
 
+import contextlib
+import io
 import itertools
 import subprocess
 import sys
@@ -14,10 +16,10 @@ from dbrackets import (AlgEndo, Bimodule, DoubleBracket, FreeAlgebra,
 from dbrackets.cli import main, run_text
 from dbrackets.freealg import MAX_TERMS, MAX_WORD_LENGTH
 from dbrackets.parsing import (_LINE_BREAKS, _MAX_NESTING, ParseError,
-                               SessionSpec, format_session, parse_poly,
-                               parse_session, parse_tensor2)
+                               SessionSpec, parse_poly, parse_session,
+                               parse_tensor2)
 
-from helpers import two_gen
+from helpers import format_session, two_gen
 
 
 VDB_SESSION = """\
@@ -758,3 +760,118 @@ def test_mutated_demo_sessions_exit_cleanly(text):
         lines = out.splitlines()
         assert lines[-1].startswith("error: ")
         assert sum(line.startswith("error:") for line in lines) == 1
+
+
+# -- console arguments of ybe and gradient classify ---------------------------
+
+# valid argument lists that each end in a few milliseconds; '-' reads the
+# tensor file from stdin
+_YBE_ARGV = [["ybe", "standard", "2"], ["ybe", "check", "-"],
+             ["ybe", "entry-jacobi", "-"],
+             ["ybe", "entry-jacobi", "--standard", "2"]]
+_TENSOR_FILES = ["1 1 1 1 1/2\n1 2 2 1 1\n2 2 2 2 1/2\n",
+                 "1 1 1 2 1\n2 2 1 2 -1\n1 2 1 1 -1\n1 2 2 2 1\n",
+                 "# e12 (x) e21\n1 2 2 1 1\n", "1 3 3 1 -2/3\n2 3 1 2 1\n"]
+_GRADIENT_ARGV = [
+    ["gradient", "classify", "--family", "monomial", "--gen", "x2",
+     "--degree", "3"],
+    ["gradient", "classify", "--family", "sum-power", "--degree", "3"],
+    ["gradient", "classify", "--family", "linear", "--coeffs", "1,-1/2,2,0"],
+    ["gradient", "classify", "--poly",
+     "-3/2*(x1*x1*x2*x3 + x1*x1*x3*x2 + x1*x2*x1*x3 + x1*x2*x3*x1 "
+     "+ x1*x3*x1*x2 + x1*x3*x2*x1 + x2*x1*x1*x3 + x2*x1*x3*x1 + x2*x3*x1*x1 "
+     "+ x3*x1*x1*x2 + x3*x1*x2*x1 + x3*x2*x1*x1)"],
+    ["gradient", "classify", "--poly", "x1*x2*x3 - x3*x2*x1 + 2*x1"]]
+# pieces that a mutation writes into an argument or a tensor-file line: no
+# digit, '^' or generator letter, so no mutation raises a matrix size, an
+# index or a degree above the valid input's (a merged index is above 8)
+_ARG_PIECES = ["", "-", "--", "=", ",", "/", "*", "+", "(", ")", " ", "\t",
+               "\n", "\x85", "#", "'", "y", "\u00e9", "--poly", "--family",
+               "--gen", "--degree", "--coeffs", "--standard", "custom",
+               "monomial", "linear", "sum-power", "classify", "check",
+               "standard", "entry-jacobi"]
+
+
+def _mutated(draw, text):
+    """text with one or two spans of up to three characters replaced by a
+    piece each."""
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(i + 3, len(text))))
+        text = text[:i] + draw(st.sampled_from(_ARG_PIECES)) + text[j:]
+    return text
+
+
+@st.composite
+def mutated_argv(draw, valid):
+    """A valid argument list with up to two of its arguments after the
+    command name mutated, dropped or repeated, and a tensor file for stdin,
+    mutated or not."""
+    argv = list(draw(st.sampled_from(valid)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(1, len(argv) - 1))
+        how = draw(st.sampled_from(["mutate", "mutate", "drop", "repeat"]))
+        if how == "mutate":
+            argv[k] = _mutated(draw, argv[k])
+        elif how == "drop" and len(argv) > 2:
+            del argv[k]
+        else:
+            argv.insert(k, argv[k])
+    stdin = draw(st.sampled_from(_TENSOR_FILES))
+    if draw(st.booleans()):
+        stdin = _mutated(draw, stdin)
+    return argv, stdin
+
+
+def _main(argv, stdin):
+    """(exit code, stdout, stderr) of ``main(argv)`` reading stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exits_cleanly(argv, stdin):
+    """Garbage exits 2 with one ``error:`` line and no other output, exit 1
+    comes only with a verdict, and nothing exits 3."""
+    code, out, err = _main(argv, stdin)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and out
+    if code == 1:  # a verdict, then its status
+        lines = out.splitlines()
+        assert len(lines) >= 2 and lines[-1] == "status: FAIL"
+
+
+@settings(max_examples=300, deadline=500, derandomize=True)
+@given(mutated_argv(_YBE_ARGV))
+def test_mutated_ybe_arguments_exit_cleanly(case):
+    _assert_exits_cleanly(*case)
+
+
+@settings(max_examples=300, deadline=500, derandomize=True)
+@given(mutated_argv(_GRADIENT_ARGV))
+def test_mutated_gradient_arguments_exit_cleanly(case):
+    _assert_exits_cleanly(*case)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a leading option is the command's, not the parser's
+    (["ybe", "--standard", "2"], "unknown ybe command '--standard'"),
+    (["ybe", "-h"], "unknown ybe command '-h'"),
+    (["gradient", "--poly", "x1"], "gradient supports: classify"),
+    (["gradient", "classify", "--=family"], "unknown option --=family"),
+    # a quoted line break is escaped
+    (["ybe", "standard", "--\n2"], "unknown option --\\n2"),
+    (["gradient", "classify", "--family", "linear", "--coeffs", "1,\u2028"],
+     "expected 'NUMBER', found '' in --coeffs 1,\\u2028"),
+])
+def test_malformed_arguments_exit_2_on_one_error_line(argv, message):
+    assert _main(argv, "") == (2, "", f"error: {message}\n")

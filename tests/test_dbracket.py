@@ -12,16 +12,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrackets import (AlgEndo, Bimodule, BimodKind, CompositeAuto,
-                       DoubleBracket, FreeAlgebra, NCPoly, Necklace, SwapAuto,
-                       Tensor2, Tensor3, TwistPairAuto, apply_equivalence,
-                       bracket_left, bracket_pair_left, bracket_pair_right,
-                       bracket_right, bullet_bracket, check_antisymmetry,
-                       check_morphism, eval_bracket, is_poisson,
-                       is_weak_poisson, jacobiator, lie_on_necklaces,
-                       loday_defect, mult_bracket, necklace_project,
-                       swap_bimodule, swap_equivalent, sym_jacobi_defect,
-                       tensor3_perm, twisted_jacobiator, weak_jacobiator)
+from dbrackets import (AlgEndo, Bimodule, BimodKind, DoubleBracket,
+                       FreeAlgebra, NCPoly, Necklace, SwapAuto, Tensor2,
+                       Tensor3, TwistPairAuto, apply_endo_tensor2,
+                       apply_equivalence, bracket_left, bracket_pair_left,
+                       bracket_pair_right, bracket_right, bullet_bracket,
+                       check_antisymmetry, check_morphism, eval_bracket,
+                       is_poisson, is_weak_poisson, jacobiator,
+                       lie_on_necklaces, loday_defect, mult_bracket,
+                       necklace_project, swap_bimodule, swap_equivalent,
+                       sym_jacobi_defect, tensor3_perm, twisted_jacobiator,
+                       weak_jacobiator)
 from dbrackets import dbracket
 from dbrackets.bimodule import act
 from dbrackets.dbracket import JacVerdict, _eval_words
@@ -1450,19 +1451,6 @@ def test_apply_equivalence_identity_twist_is_noop():
     assert out.bimodule == db.bimodule and out.gen_table == db.gen_table
 
 
-def test_apply_equivalence_composite():
-    A = two_gen()
-    x, y = xy(A)
-    alpha = AlgEndo(A, {"x": y, "y": x})
-    psi = CompositeAuto([SwapAuto(), TwistPairAuto(alpha, alpha)])
-    db = outer_poisson(A)
-    combined = apply_equivalence(db, psi)
-    stepwise = apply_equivalence(apply_equivalence(db, SwapAuto()),
-                                 TwistPairAuto(alpha, alpha))
-    assert combined.bimodule == stepwise.bimodule
-    assert combined.gen_table == stepwise.gen_table
-
-
 def test_apply_equivalence_rejects_raw_functions():
     A = two_gen()
     with pytest.raises(ValueError):
@@ -1553,12 +1541,12 @@ def test_morphism_kind_mismatch_rejected():
 
 
 def test_morphism_transports_jacobiator():
-    from dbrackets import apply_endo_tensor3
+    from dbrackets.freealg import _apply_slotwise
     phi, db1, db2 = _collapse_fixture()
     A = db1.alg
     for a, b, c in triples(A, 2):
         lhs = jacobiator(db2, phi(a), phi(b), phi(c))
-        assert lhs == apply_endo_tensor3(phi, jacobiator(db1, a, b, c))
+        assert lhs == _apply_slotwise(phi, jacobiator(db1, a, b, c), (0, 1, 2))
 
 
 def test_surjective_morphism_pushes_weak_poisson_forward():
@@ -1783,6 +1771,23 @@ def test_twisted_jacobiator_zero_bracket():
     alpha = AlgEndo(A, {"x": y, "y": x})
     for side in ("left", "right"):
         assert twisted_jacobiator(zero, side, alpha, x, y, x * y).is_zero()
+
+
+def test_maps_refuse_tensors_of_another_algebra():
+    A = two_gen()
+    x, y = xy(A)
+    C = FreeAlgebra(["a", "b", "c"])
+    a, b, c = C.gens()
+    phi = AlgEndo(C, {"a": b, "b": a, "c": c})
+    with pytest.raises(ValueError, match="mismatched generator tables"):
+        apply_endo_tensor2(phi, A.t2(x, y))
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match="mismatched generator tables"):
+            twisted_jacobiator(outer_poisson(A), side, phi, x, y, x)
+    # a map between two algebras cannot twist one slot and keep the others
+    psi, db1, _ = _collapse_fixture()
+    with pytest.raises(ValueError, match="must map every slot"):
+        twisted_jacobiator(db1, "left", psi, x, y, x)
 
 
 def test_lie_on_necklaces_kind_check():

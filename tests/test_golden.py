@@ -1,14 +1,17 @@
-"""Byte-for-byte CLI output: stdout and exit code of fixed commands.
+"""Byte-for-byte output: the stdout and exit code of fixed CLI commands, and
+the stdout of the demos.
 
 Each case runs ``dbrackets`` in process and compares its stdout with
-``tests/golden/<case>.txt`` exactly.  After an intended change of output,
-rewrite the files with ``PYTHONPATH=src python tests/test_golden.py`` and
-review the diff.
+``tests/golden/<case>.txt`` exactly; each demo ``demos/<name>.py`` runs in
+process against ``tests/golden/demo-<name>.txt``.  After an intended change
+of output, rewrite the files with ``PYTHONPATH=src python
+tests/test_golden.py`` and review the diff.
 """
 
 import contextlib
 import io
 import itertools
+import runpy
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from dbrackets.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SESSIONS = ROOT / "demos" / "sessions"
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 # -3/2 times the 12 arrangements of x1*x1*x2*x3: rational coefficients, the
 # unit word and a failing verdict with both a Tensor3 and a Tensor2 defect
@@ -60,11 +64,24 @@ def _run(argv):
     return out.getvalue(), code
 
 
+def _run_demo(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_is_unchanged(case):
     argv, code = CASES[case]
     expected = (GOLDEN / f"{case}.txt").read_bytes().decode("utf-8")
     assert _run(argv) == (expected, code)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_output_is_unchanged(demo):
+    expected = (GOLDEN / f"demo-{demo.stem}.txt").read_bytes().decode("utf-8")
+    assert _run_demo(demo) == expected
 
 
 if __name__ == "__main__":
@@ -75,3 +92,7 @@ if __name__ == "__main__":
             raise SystemExit(f"{case}: exit code {got}, expected {code}")
         (GOLDEN / f"{case}.txt").write_bytes(out.encode("utf-8"))
         print(f"wrote {case}.txt")
+    for demo in DEMOS:
+        (GOLDEN / f"demo-{demo.stem}.txt").write_bytes(
+            _run_demo(demo).encode("utf-8"))
+        print(f"wrote demo-{demo.stem}.txt")

@@ -9,9 +9,8 @@ import pytest
 from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, NCPoly,
                        bracket_left, check_antisymmetry, classify,
                        double_derivation, eval_bracket, family_polynomial,
-                       gradient_bracket, gradient_bracket_unchecked,
-                       gradient_gen_table, is_fully_noncommutative,
-                       is_poisson, jacobiator, leading_part_poisson,
+                       gradient_bracket, gradient_gen_table,
+                       is_fully_noncommutative, is_poisson, jacobiator,
                        symmetrize)
 
 
@@ -146,7 +145,8 @@ def test_gradient_bracket_rejects_non_fnc(A):
 def test_unchecked_table_fails_antisymmetry(A):
     x1, x2, _ = A.gens()
     one = A.one()
-    db = gradient_bracket_unchecked(x1 * x2)
+    db = DoubleBracket.from_full_table_unchecked(
+        Bimodule("outer", alg=A), gradient_gen_table(x1 * x2))
     assert db.entry("x2", "x3") == A.t2(one, x2)
     assert db.entry("x3", "x2") == -A.t2(one, x2)
     report = check_antisymmetry(db, 2)
@@ -250,11 +250,12 @@ def test_cross_bracket_left_pairings_vanish(A):
                 assert bracket_left(db_p, A.gen(i), inner).is_zero()
 
 
-def test_leading_part_poisson(A):
+def test_leading_part_verdicts(A):
+    # the bracket of a top-degree part: x1^3 of x1^3 + x1, and x1*x2 + x2*x1
+    # of f, whose own verdict agrees
     x1 = A.gen(0)
-    assert leading_part_poisson(x1 ** 3 + x1).status == "Poisson"
-    f = symmetrize(A, [0, 1]) + A.gen(2).scale(5)
-    assert leading_part_poisson(f).status == "NotPoisson"
+    assert is_poisson(gradient_bracket(x1 ** 3)).status == "Poisson"
+    top = symmetrize(A, [0, 1])
+    f = top + A.gen(2).scale(5)
+    assert is_poisson(gradient_bracket(top)).status == "NotPoisson"
     assert classify(A, "custom", poly=f).verdict.status == "NotPoisson"
-    with pytest.raises(ValueError):
-        leading_part_poisson(A.zero())

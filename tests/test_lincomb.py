@@ -6,14 +6,13 @@ identities, hashing and the space check are then the same test.  The
 printed forms are pinned per class.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from dbrackets import (CPoly, FreeAlgebra, MatTensor2, MatTensor3, Tensor3,
-                       casimir, poly_mul, standard_r, tensor2_alg_mul)
+                       casimir, standard_r)
 
 A = FreeAlgebra(["x", "y"])
 B = FreeAlgebra(["x"])
@@ -187,13 +186,9 @@ def test_products_across_classes_raise_type_error():
         standard_r(2).embed((1, 2)) * standard_r(2)
 
 
-def test_poly_mul_and_tensor2_alg_mul_are_the_product():
-    for p, q in itertools.permutations(_ncpoly()[:2]):
-        assert poly_mul(p, q) == p * q
-    for d, e in itertools.permutations(_tensor2()[:2]):
-        assert tensor2_alg_mul(d, e) == d * e
-    assert poly_mul(X, Y).terms == {(0, 1): 1}
-    assert tensor2_alg_mul(A.t2(X, Y), A.t2(Y, ONE)) == A.t2(X * Y, Y)
+def test_the_product_concatenates_words_slotwise():
+    assert (X * Y).terms == {(0, 1): 1}
+    assert A.t2(X, Y) * A.t2(Y, ONE) == A.t2(X * Y, Y)
 
 
 def _dense(t, N):

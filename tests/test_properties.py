@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dbrackets import (AlgEndo, Bimodule, DoubleBracket, FreeAlgebra, NCPoly,
                        Tensor2, check_antisymmetry, eval_bracket,
-                       necklace_project, perm_compose, poly_mul, tensor3_perm)
+                       necklace_project, tensor3_perm)
 from dbrackets.freealg import P12, P123, P132, P13, P23, P_ID
 
 ALG = FreeAlgebra(["x", "y"])
@@ -41,14 +41,14 @@ perms = st.sampled_from([P_ID, P12, P13, P23, P123, P132])
 
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys(), polys())
-def test_poly_mul_associative(p, q, r):
-    assert poly_mul(poly_mul(p, q), r) == poly_mul(p, poly_mul(q, r))
+def test_product_associative(p, q, r):
+    assert (p * q) * r == p * (q * r)
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys())
-def test_poly_mul_unital(p):
-    assert poly_mul(ALG.one(), p) == p == poly_mul(p, ALG.one())
+def test_product_unital(p):
+    assert ALG.one() * p == p == p * ALG.one()
 
 
 @settings(max_examples=40, deadline=None)
@@ -61,20 +61,20 @@ def test_tensor_swap_involution(d):
 @given(perms, perms, tensors3())
 def test_tensor3_perm_group_action(s, r, t):
     assert tensor3_perm(s, tensor3_perm(r, t)) == \
-        tensor3_perm(perm_compose(s, r), t)
+        tensor3_perm(tuple(s[i - 1] for i in r), t)
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys(), polys())
 def test_endo_distributes_over_mul(p, q):
     e = AlgEndo(ALG, {"x": ALG.gen("y") + ALG.one(), "y": ALG.gen("x") * ALG.gen("y")})
-    assert e(poly_mul(p, q)) == poly_mul(e(p), e(q))
+    assert e(p * q) == e(p) * e(q)
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys(), polys())
 def test_necklace_trace_property(p, q):
-    assert necklace_project(poly_mul(p, q)) == necklace_project(poly_mul(q, p))
+    assert necklace_project(p * q) == necklace_project(q * p)
 
 
 @st.composite

@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 from dbrackets import (AlgEndo, Bimodule, BimodKind, CPoly, DoubleBracket,
-                       FreeAlgebra, abelianized_bracket, check_rep_morphism,
-                       eval_bracket, eval_nc, express_in_trace_basis, induce,
-                       jacobi_defect, jacobi_sweep, matrix_tensor_bracket,
-                       mult_bracket, poisson_biderivation, poisson_eval,
-                       swap_equivalent, trace_bracket)
+                       FreeAlgebra, check_rep_morphism, eval_bracket, eval_nc,
+                       induce, jacobi_defect, jacobi_sweep,
+                       matrix_tensor_bracket, mult_bracket,
+                       poisson_biderivation, poisson_eval, swap_equivalent,
+                       trace_bracket)
 from dbrackets import repspace
 from dbrackets.repspace import MAX_ENTRY_VARIABLES, PoissonStructure
 from dbrackets.ybe import casimir, entry_bracket
@@ -415,6 +415,20 @@ def test_matrix_tensor_bracket_zero_and_bad_convention():
         matrix_tensor_bracket(ps, "kronecker", x, y)
 
 
+def test_trace_and_tensor_brackets_refuse_another_algebra():
+    # a and b of Q<a, b> would otherwise be read as x and y by index
+    A = two_gen()
+    x, y = xy(A)
+    ps = induce(outer_poisson(A), 2)
+    a, b = FreeAlgebra(["a", "b"]).gens()
+    for args in ((a, b), (x, b), (a, y)):
+        with pytest.raises(ValueError, match="mismatched generator tables"):
+            trace_bracket(ps, *args)
+        for convention in ("vdb", "tensor"):
+            with pytest.raises(ValueError, match="mismatched generator tables"):
+                matrix_tensor_bracket(ps, convention, *args)
+
+
 def _collapse_fixture(kind):
     A = two_gen()
     B = FreeAlgebra(["t"])
@@ -460,7 +474,7 @@ def test_abelianized_constant_bracket():
     lam = {(0, 1): Fraction(2), (0, 2): Fraction(-1), (1, 2): Fraction(1, 3)}
     entries = {k: A.unit2().scale(c) for k, c in lam.items()}
     db = DoubleBracket.from_pairs(Bimodule("right", alg=A), entries)
-    ps = abelianized_bracket(db)
+    ps = induce(db, 1)
     assert ps.n == 1
     for (i, j), c in lam.items():
         assert ps.pair_bracket((i, 1, 1), (j, 1, 1)) == CPoly.const(c)
@@ -468,17 +482,15 @@ def test_abelianized_constant_bracket():
     assert jacobi_sweep(ps).holds
 
 
-def test_abelianized_bracket_kind_check():
+def test_abelianized_swap_is_left_kind():
     A = two_gen()
-    with pytest.raises(ValueError):
-        abelianized_bracket(outer_poisson(A))
-    ps = abelianized_bracket(swap_equivalent(right_const(A)))
+    ps = induce(swap_equivalent(right_const(A)), 1)
     assert ps.kind is BimodKind.LEFT
 
 
 def test_abelianized_zero_bracket():
     A = two_gen()
-    ps = abelianized_bracket(DoubleBracket.zero(Bimodule("right", alg=A)))
+    ps = induce(DoubleBracket.zero(Bimodule("right", alg=A)), 1)
     assert all(p.is_zero() for p in ps.table.values())
 
 
@@ -511,35 +523,6 @@ def test_swap_equivalent_induces_identical_tables(n):
         keys = set(ps1.table) | set(ps2.table)
         for k in keys:
             assert ps1.pair_bracket(*k) == ps2.pair_bracket(*k)
-
-
-def test_trace_closure_outer():
-    # for 2x2 generic matrices the trace ring is generated by traces of
-    # short words, so the default word-length bound suffices
-    A = two_gen()
-    db = outer_poisson(A)
-    ps = induce(db, 2)
-    for a in monomials(A, 3):
-        for b in monomials(A, 3):
-            combo = express_in_trace_basis(trace_bracket(ps, a, b), A, 2)
-            assert isinstance(combo, dict)
-
-
-def test_trace_closure_failure_is_loud():
-    A = two_gen()
-    with pytest.raises(ValueError):
-        express_in_trace_basis(var(0, 1, 2), A, 2, max_word_len=3)
-
-
-def test_trace_basis_solution_stays_exact():
-    # det X = (tr(X)^2 - tr(X^2)) / 2: integer target, half-integer solution
-    A = FreeAlgebra(["x"])
-    det = var(0, 1, 1) * var(0, 2, 2) - var(0, 1, 2) * var(0, 2, 1)
-    combo = express_in_trace_basis(det, A, 2)
-    assert {tuple(str(nk) for nk in label): c
-            for label, c in combo.items()} == {
-        ("[x]", "[x]"): Fraction(1, 2), ("[x*x]",): Fraction(-1, 2)}
-    assert all(type(c) is Fraction for c in combo.values())
 
 
 # -- cross-layer proof identities ----------------------------------------------
