@@ -1,26 +1,27 @@
 """Batch command surface over the library.
 
-``dbrackets run session.txt`` executes the commands of a session file (or
-stdin with ``-``); ``dbrackets ybe ...`` and ``dbrackets gradient ...``
-expose the matrix Yang-Baxter checks and the gradient-bracket classifier
-directly.  Exit codes: 0 when every check passed, 1 when some check
-produced a counterexample (printed with its witness), 2 on usage or parse
-errors, 3 when a computation failed for any other reason (an ``error:``
-line names the exception; no traceback is printed).  Output is
-deterministic for identical input bytes; ``--format kv`` switches to
-key=value lines for machines.
+One grammar, kept in ``_COMMANDS``, reads the console's arguments and every
+session command: ``COMMAND [SUBJECT] ARG... [--option VALUE]...``, each
+option at most once, after an optional leading ``--format plain|kv`` on the
+console.  ``dbrackets run session.txt`` executes a session file (or stdin
+with ``-``); ``dbrackets ybe ...`` and ``dbrackets gradient ...`` reach the
+matrix Yang-Baxter checks and the gradient-bracket classifier directly.
+Exit codes: 0 when every check passed, 1 when some check produced a
+counterexample (printed with its witness), 2 on usage or parse errors, 3
+when a computation failed for any other reason; either error is one
+``error:`` line on stderr, without a traceback.  Output is deterministic
+for identical input bytes; ``--format kv`` gives key=value lines.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .bimodule import check_swap_commuting
 from .dbracket import (check_antisymmetry, is_poisson, is_weak_poisson,
                        jacobiator)
 from .freealg import FreeAlgebra
-from .gradient import classify
+from .gradient import FAMILIES, classify
 from .parsing import (_LINE_BREAKS, ParseError, SessionSpec, parse_integer,
                       parse_poly, parse_rational, parse_session)
 from .repspace import (induce, jacobi_sweep, matrix_tensor_bracket,
@@ -30,6 +31,9 @@ from .ybe import (MAX_MATRIX_SIZE, check_entry_jacobi, cybe_defect,
                   standard_r)
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
+
+_HELP = ("usage: dbrackets [--format plain|kv] run FILE | ybe check|standard|"
+         "entry-jacobi ... | gradient classify --family F|--poly P ...")
 
 
 class CommandError(ValueError):
@@ -59,9 +63,10 @@ class Reporter:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
-def _opts(args, spec, count, usage):
-    """Split trailing --key value options from positional arguments, and
-    raise ``usage`` unless there are ``count`` of the latter."""
+def _opts(args, counts, spec, usage):
+    """Split --key value options, each read once by its parser in ``spec``,
+    from positional arguments, and raise ``usage`` unless the number of the
+    latter is in ``counts``."""
     pos, opts = [], {}
     i = 0
     while i < len(args):
@@ -69,6 +74,8 @@ def _opts(args, spec, count, usage):
         if a.startswith("--"):
             if a not in spec:
                 raise CommandError(f"unknown option {a}")
+            if a in opts:
+                raise CommandError(f"repeated option {a}")
             if i + 1 >= len(args):
                 raise CommandError(f"option {a} needs a value")
             opts[a] = spec[a](args[i + 1])
@@ -76,7 +83,7 @@ def _opts(args, spec, count, usage):
         else:
             pos.append(a)
             i += 1
-    if len(pos) != count:
+    if len(pos) not in counts:
         raise CommandError(usage)
     return pos, opts
 
@@ -87,28 +94,15 @@ def _need_bracket(session: SessionSpec):
     return session.bracket
 
 
-def _parse_args_polys(session, args, count):
-    if len(args) != count:
-        raise CommandError(f"expected {count} polynomial argument(s), "
-                           f"got {len(args)}")
-    return [parse_poly(session.algebra, a) for a in args]
-
-
 # ---------------------------------------------------------------------------
-# session commands
+# commands: (session or None, subject, positionals, options, reporter)
 # ---------------------------------------------------------------------------
 
-def _cmd_check(session, args, rep):
-    if not args:
-        raise CommandError("check needs a subject: antisym | swap-commuting "
-                           "| poisson | weak-poisson")
-    what, rest = args[0], args[1:]
-    if what not in ("antisym", "swap-commuting", "poisson", "weak-poisson"):
-        raise CommandError(f"unknown check {what!r}")
-    sigmas = ({"--sigma": str, "--sigma-prime": str}
-              if what == "weak-poisson" else {})
-    _, opts = _opts(rest, {"--degree": parse_integer, **sigmas}, 0,
-                    f"check {what} takes no positional arguments")
+def _cmd_run(session, what, pos, opts, rep):
+    _session(_read(pos[0]), rep)
+
+
+def _cmd_check(session, what, pos, opts, rep):
     degree = opts.get("--degree",
                       4 if what in ("poisson", "weak-poisson") else 3)
     if what == "antisym":
@@ -139,32 +133,15 @@ def _cmd_check(session, args, rep):
         rep.outcome(v.holds())
 
 
-def _cmd_jacobiator(session, args, rep):
-    a, b, c = _parse_args_polys(session, args, 3)
+def _cmd_jacobiator(session, what, pos, opts, rep):
+    a, b, c = (parse_poly(session.algebra, p) for p in pos)
     value = jacobiator(_need_bracket(session), a, b, c)
     rep.say(f"jacobiator({a}, {b}, {c}) = {value}", jacobiator=str(value))
 
 
-# rep subject -> (polynomial arguments after N, options, usage)
-_REP_ARGS = {
-    "induce": (0, {}, "rep induce needs the matrix size"),
-    "jacobi": (0, {}, "rep jacobi needs the matrix size"),
-    "trace-bracket": (2, {}, "rep trace-bracket needs: N a b"),
-    "tensor": (2, {"--convention": str}, "rep tensor needs: N a b"),
-}
-
-
-def _cmd_rep(session, args, rep):
-    if not args:
-        raise CommandError("rep needs a subject: induce | jacobi | "
-                           "trace-bracket | tensor")
-    what, rest = args[0], args[1:]
-    if what not in _REP_ARGS:
-        raise CommandError(f"unknown rep command {what!r}")
-    arity, spec, usage = _REP_ARGS[what]
-    pos, opts = _opts(rest, spec, 1 + arity, usage)
+def _cmd_rep(session, what, pos, opts, rep):
     n = parse_integer(pos[0])
-    polys = _parse_args_polys(session, pos[1:], arity)
+    polys = [parse_poly(session.algebra, a) for a in pos[1:]]
     ps = induce(_need_bracket(session), n)
     name = ps.format_entry
     if what == "induce":
@@ -211,30 +188,20 @@ def _matrix_size(text: str) -> int:
     return n
 
 
-def _cmd_ybe(session, args, rep):
-    if not args:
-        raise CommandError("ybe needs a subject: check | standard | entry-jacobi")
-    what, rest = args[0], args[1:]
+def _cmd_ybe(session, what, pos, opts, rep):
     if what == "standard":
-        pos, _ = _opts(rest, {}, 1, "ybe standard needs N")
         text = format_mat_tensor2(standard_r(_matrix_size(pos[0])))
         for line in text.splitlines():
             rep.say(line, term=line)
     elif what == "check":
-        pos, _ = _opts(rest, {}, 1, "ybe check needs a tensor file")
-        r = parse_mat_tensor2(_read(pos[0]))
-        defect = cybe_defect(r)
-        ok = defect.is_zero()
+        defect = cybe_defect(parse_mat_tensor2(_read(pos[0])))
         rep.say(f"cybe defect: {defect}", cybe_defect=str(defect))
-        rep.outcome(ok)
-    elif what == "entry-jacobi":
-        standard = "--standard" in rest
-        pos, opts = _opts(rest, {"--standard": _matrix_size},
-                          0 if standard else 1,
-                          "give either a file or --standard N" if standard else
-                          "ybe entry-jacobi needs a tensor file or --standard N")
-        r = (standard_r(opts["--standard"]) if standard
-             else parse_mat_tensor2(_read(pos[0])))
+        rep.outcome(defect.is_zero())
+    else:
+        if len(pos) == ("--standard" in opts):  # neither, or both
+            raise CommandError("give either a file or --standard N")
+        r = (parse_mat_tensor2(_read(pos[0])) if pos
+             else standard_r(opts["--standard"]))
         report = check_entry_jacobi(entry_bracket(r))
         kv = {"tuples": report.tuples, "n": report.n,
               "holds": str(report.holds).lower()}
@@ -243,44 +210,40 @@ def _cmd_ybe(session, args, rep):
             kv["defect"] = report.defect.to_str(report.format_var)
         rep.say(str(report), **kv)
         rep.outcome(report.holds)
-    else:
-        raise CommandError(f"unknown ybe command {what!r}")
 
 
-def _cmd_gradient(session, args, rep):
-    if not args or args[0] != "classify":
-        raise CommandError("gradient supports: classify")
-    # --poly is kept as given, so that a session argument keeps its position
-    _, opts = _opts(args[1:], {"--family": str, "--gen": str,
-                               "--degree": parse_integer, "--coeffs": str,
-                               "--poly": lambda a: a}, 0,
-                    "gradient classify takes no positional arguments")
-    alg = FreeAlgebra(["x1", "x2", "x3"])
-    kwargs = {}
-    if "--poly" in opts:
-        family = opts.get("--family", "custom")
-        if family != "custom":
-            raise CommandError("--poly implies --family custom")
-        kwargs["poly"] = parse_poly(alg, opts["--poly"])
-        family = "custom"
-    else:
-        if "--family" not in opts:
-            raise CommandError("gradient classify needs --family or --poly")
-        family = opts["--family"]
-        if family == "monomial":
-            kwargs["gen"] = opts.get("--gen", "x1")
-            kwargs["degree"] = opts.get("--degree", 1)
-        elif family == "sum-power":
-            kwargs["degree"] = opts.get("--degree", 1)
-        elif family == "linear":
-            raw = opts.get("--coeffs", "0,1,1,1")
-            try:
-                kwargs["coeffs"] = [parse_rational(x) for x in raw.split(",")]
-            except ParseError as exc:
-                raise CommandError(f"{exc.reason} in --coeffs {raw}") from None
-        elif family == "custom":
-            raise CommandError("custom family needs --poly")
-    report = classify(alg, family, **kwargs)
+_GRADIENT_ALGEBRA = FreeAlgebra(["x1", "x2", "x3"])
+
+# gradient family -> the classify keywords that it reads, each given by the
+# option of its name, and their defaults; the custom family needs its --poly
+_FAMILY_OPTIONS = {
+    "monomial": {"gen": "x1", "degree": 1},
+    "sum-power": {"degree": 1},
+    "linear": {"coeffs": [0, 1, 1, 1]},
+    "custom": {"poly": None},
+}
+
+
+def _coeffs(raw: str) -> list:
+    try:
+        return [parse_rational(x) for x in raw.split(",")]
+    except ParseError as exc:
+        raise CommandError(f"{exc.reason} in --coeffs {raw}") from None
+
+
+def _cmd_gradient(session, what, pos, opts, rep):
+    family = opts.pop("--family", "custom" if "--poly" in opts else None)
+    if family is None:
+        raise CommandError("gradient classify needs --family or --poly")
+    if family not in _FAMILY_OPTIONS:
+        raise CommandError(f"unknown family {family!r}; choose from {FAMILIES}")
+    kwargs = {key: opts.pop(f"--{key}", default)
+              for key, default in _FAMILY_OPTIONS[family].items()}
+    if opts:
+        raise CommandError(f"{family} family does not read {next(iter(opts))}")
+    if None in kwargs.values():
+        raise CommandError(f"{family} family needs --poly")
+    report = classify(_GRADIENT_ALGEBRA, family, **kwargs)
     for line in str(report).splitlines():
         rep.say(line)
     if rep.fmt == "kv":
@@ -290,13 +253,35 @@ def _cmd_gradient(session, args, rep):
     rep.outcome(report.verdict.holds() and report.casimir_ok)
 
 
-_SESSION_COMMANDS = {
-    "check": _cmd_check,
-    "jacobiator": _cmd_jacobiator,
-    "rep": _cmd_rep,
-    "ybe": _cmd_ybe,
-    "gradient": _cmd_gradient,
+# command -> (function, {subject: (positional counts, options and their
+# parsers, usage)}); a command without subjects has the one subject ""
+_COMMANDS = {
+    "run": (_cmd_run, {"": ((1,), {}, "run needs a session file, or '-'")}),
+    "check": (_cmd_check, {
+        what: ((0,), {"--degree": parse_integer, **sigmas},
+               f"check {what} takes no positional arguments")
+        for what, sigmas in (
+            ("antisym", {}), ("swap-commuting", {}), ("poisson", {}),
+            ("weak-poisson", {"--sigma": str, "--sigma-prime": str}))}),
+    "jacobiator": (_cmd_jacobiator, {"": ((3,), {}, "jacobiator needs: a b c")}),
+    "rep": (_cmd_rep, {
+        "induce": ((1,), {}, "rep induce needs the matrix size"),
+        "jacobi": ((1,), {}, "rep jacobi needs the matrix size"),
+        "trace-bracket": ((3,), {}, "rep trace-bracket needs: N a b"),
+        "tensor": ((3,), {"--convention": str}, "rep tensor needs: N a b")}),
+    "ybe": (_cmd_ybe, {
+        "check": ((1,), {}, "ybe check needs a tensor file"),
+        "standard": ((1,), {}, "ybe standard needs N"),
+        "entry-jacobi": ((0, 1), {"--standard": _matrix_size},
+                         "ybe entry-jacobi needs a tensor file or --standard N")}),
+    "gradient": (_cmd_gradient, {"classify": ((0,), {
+        "--family": str, "--gen": str, "--degree": parse_integer,
+        "--coeffs": _coeffs,
+        "--poly": lambda text: parse_poly(_GRADIENT_ALGEBRA, text)},
+        "gradient classify takes no positional arguments")}),
 }
+# the console's commands; the others need a session, which cannot run one
+_CONSOLE = ("run", "ybe", "gradient")
 
 
 def run(session, fmt: str = "plain") -> tuple:
@@ -326,13 +311,20 @@ def _session(session, rep: Reporter):
 
 
 def _command(session, cmd, rep: Reporter):
-    """Run one command; a result with a coefficient too long for the
-    interpreter's integer conversion is a CommandError that names it."""
-    name = cmd[0]
-    if name not in _SESSION_COMMANDS:
+    """Run one command, its subject and options read by ``_COMMANDS``; a
+    result with a coefficient too long for the interpreter's integer
+    conversion is a CommandError that names the command."""
+    name, args = cmd[0], list(cmd[1:])
+    if name not in (_CONSOLE if session is None else _COMMANDS.keys() - {"run"}):
         raise CommandError(f"unknown command {name!r}")
+    function, subjects = _COMMANDS[name]
+    what = "" if "" in subjects else args.pop(0) if args else None
+    if what is None:
+        raise CommandError(f"{name} needs a subject: {' | '.join(subjects)}")
+    if what not in subjects:
+        raise CommandError(f"unknown {name} command {what!r}")
     try:
-        _SESSION_COMMANDS[name](session, list(cmd[1:]), rep)
+        function(session, what, *_opts(args, *subjects[what]), rep)
     except ValueError as exc:  # the interpreter's, raised while printing
         if type(exc) is not ValueError or "string conversion" not in str(exc):
             raise
@@ -364,27 +356,30 @@ def _failure(exc: Exception) -> tuple:
     return f"error: internal failure ({type(exc).__name__}): {text}", INTERNAL
 
 
+def _format(text: str) -> str:
+    if text not in ("plain", "kv"):
+        raise CommandError(f"unknown format {text!r}: use plain or kv")
+    return text
+
+
 def main(argv=None) -> int:
-    # ybe and gradient get every argument, '-x' and '--=x' too (no prefix
-    # characters, no abbreviations), and refuse a bad one on an error: line
-    parser = argparse.ArgumentParser(
-        prog="dbrackets", allow_abbrev=False,
-        description="exact double-bracket computations and verdicts")
-    parser.add_argument("--format", choices=("plain", "kv"), default="plain")
-    sub = parser.add_subparsers(dest="command", required=True)
+    """The console script: ``[--format plain|kv] COMMAND ...``, or ``-h``
+    or ``--help`` alone for the usage line."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv in (["-h"], ["--help"]):
+        print(_HELP)
+        return OK
 
-    p_run = sub.add_parser("run", help="execute a session file ('-' for stdin)")
-    p_run.add_argument("session")
+    def body(rep, args=argv):
+        if args[:1] == ["--format"]:
+            _, opts = _opts(args[:2], (0,), {"--format": _format}, "")
+            rep.fmt, args = opts["--format"], args[2:]
+        if not args:
+            raise CommandError(
+                f"dbrackets needs a command: {' | '.join(_CONSOLE)}")
+        _command(None, args, rep)
 
-    for name, text in (("ybe", "matrix Yang-Baxter checks"),
-                       ("gradient", "gradient bracket classifier")):
-        sub.add_parser(name, help=text, prefix_chars="\0", add_help=False
-                       ).add_argument("args", nargs=argparse.REMAINDER)
-
-    ns = parser.parse_args(argv)
-    out, error, code = _run(ns.format, lambda rep: (
-        _session(_read(ns.session), rep) if ns.command == "run"
-        else _command(None, [ns.command, *ns.args], rep)))
+    out, error, code = _run("plain", body)
     sys.stdout.write(out)
     sys.stderr.write(error)
     return code

@@ -47,10 +47,8 @@ class _OverMatrices(LinComb):
         return out
 
     def __str__(self):
-        parts = [f"{c}*" + "(x)".join(f"e[{key[s]},{key[s + 1]}]"
-                                      for s in range(0, len(key), 2))
-                 for key, c in self.sorted_terms()]
-        return " + ".join(parts) if parts else "0"
+        return self._format(lambda key: "(x)".join(
+            f"e[{key[s]},{key[s + 1]}]" for s in range(0, len(key), 2)))
 
     def __repr__(self):
         return f"<{type(self).__name__} N={self.N} {self}>"

@@ -295,6 +295,10 @@ def test_undeclared_generators_are_named_where_they_stand(line):
     ("frob x", 1, "unknown command 'frob'"),
     ("  rep induce", 3, "rep induce needs the matrix size"),
     ("check antisym --depth 2", 1, "unknown option --depth"),
+    ("check poisson --degree 2 --degree 3", 1, "repeated option --degree"),
+    ("  run other.session", 3, "unknown command 'run'"),
+    ("jacobiator x y", 1, "jacobiator needs: a b c"),
+    ("check bogus", 1, "unknown check command 'bogus'"),
     ("gradient classify --family linear --coeffs 1,1/0,2,3", 1,
      "zero denominator in --coeffs 1,1/0,2,3"),
     ("  jacobiator x y 'z", 3,
@@ -789,7 +793,8 @@ _ARG_PIECES = ["", "-", "--", "=", ",", "/", "*", "+", "(", ")", " ", "\t",
                "\n", "\x85", "#", "'", "y", "\u00e9", "--poly", "--family",
                "--gen", "--degree", "--coeffs", "--standard", "custom",
                "monomial", "linear", "sum-power", "classify", "check",
-               "standard", "entry-jacobi"]
+               "standard", "entry-jacobi", "--format", "kv", "plain", "run",
+               "ybe", "gradient", "-h"]
 
 
 def _mutated(draw, text):
@@ -803,21 +808,23 @@ def _mutated(draw, text):
 
 
 @st.composite
-def mutated_argv(draw, valid):
-    """A valid argument list with up to two of its arguments after the
-    command name mutated, dropped or repeated, and a tensor file for stdin,
-    mutated or not."""
-    argv = list(draw(st.sampled_from(valid)))
+def mutated_argv(draw, valid, stdins=_TENSOR_FILES):
+    """A valid argument list, after ``--format plain|kv`` or not, with up to
+    two of its arguments mutated, dropped or repeated, the command name and
+    ``--format`` too, and a text for stdin from ``stdins``, mutated or
+    not."""
+    argv = draw(st.sampled_from([[], ["--format", "plain"], ["--format", "kv"]]))
+    argv = argv + list(draw(st.sampled_from(valid)))
     for _ in range(draw(st.integers(0, 2))):
-        k = draw(st.integers(1, len(argv) - 1))
+        k = draw(st.integers(0, len(argv) - 1))
         how = draw(st.sampled_from(["mutate", "mutate", "drop", "repeat"]))
         if how == "mutate":
             argv[k] = _mutated(draw, argv[k])
-        elif how == "drop" and len(argv) > 2:
+        elif how == "drop" and len(argv) > 1:
             del argv[k]
         else:
             argv.insert(k, argv[k])
-    stdin = draw(st.sampled_from(_TENSOR_FILES))
+    stdin = draw(st.sampled_from(stdins))
     if draw(st.booleans()):
         stdin = _mutated(draw, stdin)
     return argv, stdin
@@ -845,9 +852,12 @@ def _assert_exits_cleanly(argv, stdin):
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert err == "" and out
-    if code == 1:  # a verdict, then its status
+    if code == 1:  # a verdict, then its status, last but in a session
         lines = out.splitlines()
-        assert len(lines) >= 2 and lines[-1] == "status: FAIL"
+        status = [k for k, line in enumerate(lines)
+                  if line in ("status: FAIL", "status=fail")]
+        assert status and status[0] >= 1
+        assert status[-1] == len(lines) - 1 or "run" in argv
 
 
 @settings(max_examples=300, deadline=500, derandomize=True)
@@ -862,11 +872,56 @@ def test_mutated_gradient_arguments_exit_cleanly(case):
     _assert_exits_cleanly(*case)
 
 
+# sessions for 'run -' that end in a few milliseconds, mutated or not
+_RUN_SESSIONS = [VDB_SESSION + "jacobiator x y y\n",
+                 TWISTED_SESSION + "check antisym\n",
+                 "algebra { gens: x, y }\nbimodule { kind: right }\n"
+                 "bracket { <x,y> = 1 (x) 1 }\ncheck weak-poisson --sigma 12\n"]
+
+
+@settings(max_examples=100, deadline=500, derandomize=True)
+@given(mutated_argv([["run", "-"]], _RUN_SESSIONS))
+def test_mutated_run_arguments_exit_cleanly(case):
+    _assert_exits_cleanly(*case)
+
+
+def test_help_alone_prints_the_usage_line():
+    for flag in ("-h", "--help"):
+        code, out, err = _main([flag], "")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: dbrackets [--format plain|kv] run FILE")
+        assert out.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
+    # the top level reads the one grammar too
+    ([], "dbrackets needs a command: run | ybe | gradient"),
+    (["run"], "run needs a session file, or '-'"),
+    (["frob"], "unknown command 'frob'"),
+    (["check", "poisson"], "unknown command 'check'"),
+    (["--format"], "option --format needs a value"),
+    (["--format", "bogus", "run", "f"], "unknown format 'bogus': use plain or kv"),
+    (["--format", "kv", "-h"], "unknown command '-h'"),  # -h is not alone
+    (["run", "f", "--format", "kv"], "unknown option --format"),
+    # an option is given once, and only where it is read
+    (["gradient", "classify", "--family", "monomial", "--degree", "2",
+      "--degree", "1"], "repeated option --degree"),
+    (["gradient", "classify", "--family", "sum-power", "--degree", "2",
+      "--gen", "x2"], "sum-power family does not read --gen"),
+    (["gradient", "classify", "--family", "monomial", "--poly", "x1"],
+     "monomial family does not read --poly"),
+    (["gradient", "classify", "--family", "custom"], "custom family needs --poly"),
+    (["gradient", "classify", "--family", "bogus"],
+     "unknown family 'bogus'; choose from "
+     "('monomial', 'sum-power', 'linear', 'custom')"),
+    (["ybe", "entry-jacobi", "--standard", "2", "--standard", "3"],
+     "repeated option --standard"),
+    (["ybe", "entry-jacobi"], "give either a file or --standard N"),
+    (["gradient"], "gradient needs a subject: classify"),
     # a leading option is the command's, not the parser's
     (["ybe", "--standard", "2"], "unknown ybe command '--standard'"),
     (["ybe", "-h"], "unknown ybe command '-h'"),
-    (["gradient", "--poly", "x1"], "gradient supports: classify"),
+    (["gradient", "--poly", "x1"], "unknown gradient command '--poly'"),
     (["gradient", "classify", "--=family"], "unknown option --=family"),
     # a quoted line break is escaped
     (["ybe", "standard", "--\n2"], "unknown option --\\n2"),

@@ -21,6 +21,7 @@ from dbrackets.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SESSIONS = ROOT / "demos" / "sessions"
+TENSORS = ROOT / "demos" / "tensors"
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 # -3/2 times the 12 arrangements of x1*x1*x2*x3: rational coefficients, the
@@ -46,12 +47,19 @@ CASES = {
         ["--format", "kv", "gradient", "classify", "--poly", SYM_X1X1X2X3], 1),
     "ybe-entry-jacobi-standard-2": (
         ["ybe", "entry-jacobi", "--standard", "2"], 1),
+    # e12 (x) e21 read from a tensor file: a nonzero defect in the +/-
+    # printer of every combination, and a failing entry-bracket sweep
+    "ybe-check-e12_e21": (
+        ["ybe", "check", str(TENSORS / "e12_e21.txt")], 1),
+    "ybe-entry-jacobi-e12_e21": (
+        ["ybe", "entry-jacobi", str(TENSORS / "e12_e21.txt")], 1),
     # a rational bracket on Rep(A, n): induced table, a failing Jacobi sweep
     # (its defect is quadratic in the bracket), trace and tensor brackets
     "rep-rational": (["run", str(SESSIONS / "rational_outer.session")], 1),
 }
 for _name, _code in (("constant_right_weak", 1), ("linear_poisson", 0),
-                     ("twisted_not_poisson", 1), ("weak_classes", 1)):
+                     ("swap_commuting", 0), ("twisted_not_poisson", 1),
+                     ("weak_classes", 1)):
     _path = str(SESSIONS / f"{_name}.session")
     CASES[f"session-{_name}"] = (["run", _path], _code)
     CASES[f"session-{_name}-kv"] = (["--format", "kv", "run", _path], _code)

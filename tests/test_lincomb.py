@@ -156,9 +156,12 @@ def test_cpoly_printing():
 
 
 def test_mattensor_printing():
-    assert str(standard_r(2)) == ("1/2*e[1,1](x)e[1,1] + 1*e[1,2](x)e[2,1] "
+    # the +/- printer of every LinComb: no 1* and no "+ -"
+    assert str(standard_r(2)) == ("1/2*e[1,1](x)e[1,1] + e[1,2](x)e[2,1] "
                                   "+ 1/2*e[2,2](x)e[2,2]")
-    assert str(-MatTensor2(2, {(1, 2, 2, 1): 1})) == "-1*e[1,2](x)e[2,1]"
+    assert str(-MatTensor2(2, {(1, 2, 2, 1): 1})) == "-e[1,2](x)e[2,1]"
+    assert str(MatTensor2(2, {(1, 2, 2, 1): 1, (2, 1, 1, 2): -3})) == \
+        "e[1,2](x)e[2,1] - 3*e[2,1](x)e[1,2]"
     assert str(MatTensor2(1, {(1, 1, 1, 1): 2}).embed((1, 2))) == \
         "2*e[1,1](x)e[1,1](x)e[1,1]"
     assert str(MatTensor3(2)) == "0"
