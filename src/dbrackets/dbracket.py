@@ -5,9 +5,8 @@ values on generator pairs, extended everywhere by the Leibniz rules of a
 swap-commuting bimodule structure, and subject to the cyclic antisymmetry
 <<a,b>> = -<<b,a>> composed with the swap.  This module provides the
 Leibniz extension, the double Jacobiator and its weak variants, soundness-
-aware Poisson verdicts, equivalences and morphisms of double brackets, the
-multiplication bracket with its Loday defects, and the reductions to
-cyclic words.
+aware Poisson verdicts, equivalences of double brackets, the
+multiplication bracket, and the reductions to cyclic words.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from typing import Optional
 from .bimodule import Bimodule, BimodKind, _act_into, swap_bimodule
 from .commpoly import CPoly, cyclic_jacobi
 from .freealg import (AlgEndo, NCPoly, Necklace, Tensor2, Tensor3, P12, P123,
-                      P132, TRANSPOSITIONS, _apply_slotwise, _deglex, _expand,
-                      _first_failure, _integer_twin, _integral,
-                      _inverse_slots, _nonzero, _rescaled, _tadd,
-                      apply_endo_tensor2, necklace_project, tensor3_perm,
+                      P132, TRANSPOSITIONS, _deglex, _expand, _first_failure,
+                      _integer_twin, _integral, _inverse_slots, _nonzero,
+                      _rescaled, _tadd, apply_endo_tensor2, tensor3_perm,
                       transposition)
 
 JAC_FORMS = ("left", "mixed", "right", "pair-right")
@@ -692,23 +690,7 @@ def check_antisymmetry(db: DoubleBracket, degree_bound: int = 3) -> AntisymRepor
 # equivalences
 # ---------------------------------------------------------------------------
 
-class Tensor2Auto:
-    """An automorphism of A (x) A commuting with the swap automorphism.
-
-    Only the swap itself and diagonal twists by an algebra automorphism are
-    representable; a composite is one ``apply_equivalence`` per factor.  The
-    commutation requirement holds for these by construction and is what
-    makes the transported structure a double bracket again.
-    """
-
-    def apply(self, d: Tensor2) -> Tensor2:
-        raise NotImplementedError
-
-    def transport(self, m: Bimodule) -> Bimodule:
-        raise NotImplementedError
-
-
-class SwapAuto(Tensor2Auto):
+class SwapAuto:
     def apply(self, d: Tensor2) -> Tensor2:
         return d.swap()
 
@@ -719,7 +701,7 @@ class SwapAuto(Tensor2Auto):
         return "<SwapAuto>"
 
 
-class TwistPairAuto(Tensor2Auto):
+class TwistPairAuto:
     """The map alpha (x) alpha for an automorphism with a verified inverse."""
 
     def __init__(self, alpha: AlgEndo, alpha_inverse: AlgEndo):
@@ -746,14 +728,18 @@ class TwistPairAuto(Tensor2Auto):
         return f"<TwistPairAuto {self.alpha}>"
 
 
-def apply_equivalence(db: DoubleBracket, psi: Tensor2Auto) -> DoubleBracket:
+def apply_equivalence(db: DoubleBracket,
+                      psi: SwapAuto | TwistPairAuto) -> DoubleBracket:
     """Transport a double bracket along an automorphism of A (x) A.
 
     The new bracket is psi composed with the old one, and its bimodule is
     the psi-conjugate of the old action; for a diagonal twist over an
-    untwisted kind this produces the matching twisted kind.
+    untwisted kind this produces the matching twisted kind.  Only the swap
+    and diagonal twists by an algebra automorphism are taken: they commute
+    with the swap, which makes the transported structure a double bracket
+    again.  A composite is one call per factor.
     """
-    if not isinstance(psi, Tensor2Auto):
+    if not isinstance(psi, (SwapAuto, TwistPairAuto)):
         raise ValueError("psi must be a SwapAuto or a TwistPairAuto")
     table = {key: psi.apply(d) for key, d in db.gen_table.items()}
     return DoubleBracket(psi.transport(db.bimodule), table)
@@ -765,30 +751,7 @@ def swap_equivalent(db: DoubleBracket) -> DoubleBracket:
 
 
 # ---------------------------------------------------------------------------
-# morphisms
-# ---------------------------------------------------------------------------
-
-def check_morphism(phi: AlgEndo, db1: DoubleBracket, db2: DoubleBracket) -> bool:
-    """Does phi intertwine the two brackets?
-
-    Verified on generator pairs of the source, which suffices because both
-    sides satisfy the same Leibniz rules in the images; requires a shared
-    untwisted kind so that those rules really do coincide.
-    """
-    if db1.kind() != db2.kind():
-        raise ValueError("morphism check requires matching bimodule kinds")
-    if not (db1.bimodule.is_untwisted() and db2.bimodule.is_untwisted()):
-        raise ValueError("morphism check is defined for untwisted kinds")
-    if phi.domain.names != db1.alg.names or phi.codomain.names != db2.alg.names:
-        raise ValueError("phi must map the first algebra to the second")
-    alg1 = db1.alg
-    return all(eval_bracket(db2, phi(alg1.gen(i)), phi(alg1.gen(j)))
-               == apply_endo_tensor2(phi, db1.gen_table[(i, j)])
-               for i, j in itertools.product(range(alg1.ngens), repeat=2))
-
-
-# ---------------------------------------------------------------------------
-# multiplication bracket, Loday defects, twisted Jacobiators
+# the multiplication bracket
 # ---------------------------------------------------------------------------
 
 def mult_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly) -> NCPoly:
@@ -800,56 +763,9 @@ def mult_bracket(db: DoubleBracket, a: NCPoly, b: NCPoly) -> NCPoly:
     return NCPoly(db.alg, data)
 
 
-def loday_defect(db: DoubleBracket, side: str, a, b, c) -> NCPoly:
-    """Failure of the left or right Loday identity for the mult bracket."""
-    br = functools.partial(mult_bracket, db)
-    if side == "left":
-        return br(a, br(b, c)) - br(br(a, b), c) - br(b, br(a, c))
-    if side == "right":
-        return br(br(a, b), c) - br(a, br(b, c)) - br(br(a, c), b)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def twisted_jacobiator(db: DoubleBracket, side: str, alpha: AlgEndo,
-                       a, b, c) -> Tensor3:
-    """Jacobiator with a twist applied inside each cyclic summand.
-
-    The left version twists the third tensor slot of each left pairing; the
-    right version twists the first slot of each pair-right term.  With the
-    identity twist the left version is the Jacobiator itself, and the right
-    version matches it after conjugation by the (12) factor swap.
-    """
-    if side == "left":
-        def term(db, x, y, z):
-            return _apply_slotwise(alpha, bracket_left(
-                db, _mono(db.alg, x), _eval_words(db, y, z)), (2,))
-    elif side == "right":
-        def term(db, x, y, z):
-            return _apply_slotwise(alpha, bracket_pair_right(
-                db, _eval_words(db, x, y), _mono(db.alg, z)), (0,))
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return _multilinear(db, lambda db, u, v, w: _cyclic(
-        functools.partial(term, db), u, v, w), (a, b, c), Tensor3, 2)
-
-
 # ---------------------------------------------------------------------------
 # reductions to cyclic words
 # ---------------------------------------------------------------------------
-
-def lie_on_necklaces(db: DoubleBracket, na: Necklace, nb: Necklace) -> dict:
-    """The bracket induced on cyclic words by the mult bracket.
-
-    Defined for the outer and inner kinds with equal twists, where the mult
-    bracket descends on both sides; the result does not depend on the
-    chosen lifts and is antisymmetric.
-    """
-    if db.kind() not in (BimodKind.OUTER, BimodKind.INNER):
-        raise ValueError("necklace Lie bracket needs the outer or inner kind")
-    if db.bimodule.alpha != db.bimodule.beta:
-        raise ValueError("necklace Lie bracket needs equal twists")
-    return necklace_project(mult_bracket(db, na.lift(), nb.lift()))
-
 
 def bullet_bracket(db: DoubleBracket, na: Necklace, nb: Necklace) -> dict:
     """Project both tensor slots of <<lift(na), lift(nb)>> to cyclic words.

@@ -4,11 +4,11 @@ A ``FreeAlgebra`` fixes a finite list of named generators.  Elements are
 ``NCPoly`` values: finite maps from words (tuples of generator indices) to
 rational coefficients.  The module also provides the tensor square and
 cube of the algebra (``Tensor2``, ``Tensor3``), the symmetric-group actions
-on tensor factors, algebra endomorphisms given on generators, and the
-projection onto cyclic words (necklaces), which is the quotient of the
-algebra by the span of commutators.  ``LinComb`` is the base class of these
-elements and of the package's other finite linear combinations
-(commutative polynomials, matrix tensors).
+on tensor factors, algebra endomorphisms given on generators, and cyclic
+words (necklaces), a basis of the quotient of the algebra by the span of
+commutators.  ``LinComb`` is the base class of these elements and of the
+package's other finite linear combinations (commutative polynomials,
+matrix tensors).
 
 No floating point is used anywhere: all arithmetic is exact.  A
 coefficient is an ``int`` or a ``Fraction``, never a ``float``.  ``_q``
@@ -555,8 +555,8 @@ class AlgEndo:
     """Algebra homomorphism between free algebras, given on generators.
 
     The map extends multiplicatively and sends 1 to 1.  ``domain`` and
-    ``codomain`` coincide for the twists of bimodule structures; morphisms
-    of double brackets may connect two different algebras.
+    ``codomain`` coincide for the twists of bimodule structures, and may
+    differ, as for a map collapsing two generators to one.
     """
 
     __slots__ = ("domain", "codomain", "images", "_memo", "_identity")
@@ -625,25 +625,13 @@ def apply_endo(e: AlgEndo, p: NCPoly) -> NCPoly:
     return NCPoly(e.codomain, data)
 
 
-def _apply_slotwise(e: AlgEndo, t, slots):
-    """t, which lives over e's domain, with e applied to the words in the
-    given slots of every key, over e's codomain; the other slots keep their
-    words, so a map between two algebras must be given every slot."""
-    e.domain._check(t)
-    if (len(slots) < (3 if type(t) is Tensor3 else 2)
-            and e.domain.names != e.codomain.names):
-        raise ValueError("a map between two algebras must map every slot")
-    data = {}
-    for key, c in t.terms.items():
-        _expand(data, [e.apply_word(w) if s in slots
-                       else NCPoly(e.codomain, {w: 1})
-                       for s, w in enumerate(key)], c)
-    return type(t)(e.codomain, data)
-
-
-def apply_endo_tensor2(e: AlgEndo, d: "Tensor2") -> "Tensor2":
+def apply_endo_tensor2(e: AlgEndo, d: Tensor2) -> Tensor2:
     """Apply e (x) e to an element of the tensor square."""
-    return _apply_slotwise(e, d, (0, 1))
+    e.domain._check(d)
+    data = {}
+    for (w1, w2), c in d.terms.items():
+        _expand(data, (e.apply_word(w1), e.apply_word(w2)), c)
+    return Tensor2(e.codomain, data)
 
 
 # ---------------------------------------------------------------------------
@@ -682,16 +670,3 @@ class Necklace:
 
     def __repr__(self):
         return f"<Necklace {self}>"
-
-
-def necklace_project(p: NCPoly) -> dict:
-    """Project onto A/[A,A]: map each word to its necklace class.
-
-    Returns a map Necklace -> coefficient with zero classes removed; the
-    difference of a product taken in either order projects to zero.
-    """
-    out = {}
-    for w, c in p.terms.items():
-        n = Necklace(p.alg, w)
-        _tadd(out, n, c)
-    return out

@@ -22,6 +22,10 @@ from .bimodule import Bimodule, BimodKind
 from .dbracket import DoubleBracket, JacVerdict, eval_bracket, is_poisson
 from .freealg import FreeAlgebra, NCPoly, Tensor2, _power_breach, _tadd
 
+# The longest word that ``symmetrize`` sums over every ordering of its
+# positions: 7! = 5040 terms.
+MAX_SYMMETRIZE_LENGTH = 7
+
 # epsilon^{ijk}, totally antisymmetric with epsilon^{123} = 1 (0-based keys)
 _EPSILON = {}
 for _perm, _sign in ((("012"), 1), (("120"), 1), (("201"), 1),
@@ -102,16 +106,16 @@ def gradient_bracket(f: NCPoly) -> DoubleBracket:
                          gradient_gen_table(f))
 
 
-def symmetrize(alg: FreeAlgebra, letters, max_len: int = 7) -> NCPoly:
+def symmetrize(alg: FreeAlgebra, letters) -> NCPoly:
     """Sum the word over all permutations of its positions, multiplicities kept.
 
     Repeated letters contribute repeated identical terms, so the word on
     x^2 symmetrises to 2 x^2.  The length bound guards the factorial growth.
     """
     word = tuple(alg.gen_index(g) for g in letters)
-    if len(word) > max_len:
+    if len(word) > MAX_SYMMETRIZE_LENGTH:
         raise ValueError(f"word of length {len(word)} exceeds the "
-                         f"symmetrization bound {max_len}")
+                         f"symmetrization bound {MAX_SYMMETRIZE_LENGTH}")
     data = {}
     for perm in itertools.permutations(word):
         _tadd(data, perm, 1)

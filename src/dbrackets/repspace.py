@@ -360,21 +360,3 @@ def _hamiltonian_field(ps: PoissonStructure, variables, g_partials) -> dict:
         if acc:
             field[v] = CPoly(acc)
     return field
-
-
-def check_rep_morphism(phi: AlgEndo, db1: DoubleBracket, db2: DoubleBracket,
-                       n: int) -> bool:
-    """Does the entrywise extension of phi intertwine the induced brackets?
-
-    Assumes phi is already a verified morphism of the double brackets with
-    a shared untwisted outer or right kind; the check runs over all
-    generator-entry pairs of the source ring.
-    """
-    if db1.kind() != db2.kind() or db1.kind() not in (BimodKind.OUTER,
-                                                      BimodKind.RIGHT):
-        raise ValueError("rep morphism check needs a shared outer or right kind")
-    ps1, ps2 = induce(db1, n), induce(db2, n)
-    phi_n = _entry_images(phi, n)
-    return all(poisson_eval(ps2, phi_n[v], phi_n[w])
-               == ps1.pair_bracket(v, w).substitute(phi_n.__getitem__)
-               for v, w in itertools.product(ps1.variables(), repeat=2))

@@ -191,6 +191,8 @@ def test_reversal_twisted_action_not_swap_commuting():
     assert d == A.unit2()
     assert lhs == A.t2(one, y * x)
     assert rhs == A.t2(one, x * y)
+    assert str(r) == ("swap-commuting FAILS at a1=1, a2=x, b1=y, b2=1, "
+                      "d=1 (x) 1: 1 (x) y*x != 1 (x) x*y")
 
 
 def test_swap_commuting_iff_swap_bimodule_is():

@@ -303,11 +303,19 @@ def test_undeclared_generators_are_named_where_they_stand(line):
      "zero denominator in --coeffs 1,1/0,2,3"),
     ("  jacobiator x y 'z", 3,
      "bad command line \"  jacobiator x y 'z\": No closing quotation"),
+    ("check weak-poisson", 1, "check weak-poisson needs --sigma"),
+    # a session of an algebra block alone lacks the declaration needed
+    ("algebra { gens: x }\ncheck poisson", 1,
+     "this command needs a bracket declaration"),
+    ("algebra { gens: x }\ncheck swap-commuting", 1,
+     "this command needs a bimodule declaration"),
 ])
 def test_session_command_errors_name_their_position(command, column, message):
-    out, code = run_text(VDB_SESSION + command + "\n")
+    text = command if command.startswith("algebra") else VDB_SESSION + command
+    line = text.count("\n") + 1
+    out, code = run_text(text + "\n")
     assert code == 2
-    assert out.splitlines()[-1] == f"error: line 5, column {column}: {message}"
+    assert out.splitlines()[-1] == f"error: line {line}, column {column}: {message}"
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
@@ -927,6 +935,7 @@ def test_help_alone_prints_the_usage_line():
     (["ybe", "standard", "--\n2"], "unknown option --\\n2"),
     (["gradient", "classify", "--family", "linear", "--coeffs", "1,\u2028"],
      "expected 'NUMBER', found '' in --coeffs 1,\\u2028"),
+    (["gradient", "classify"], "gradient classify needs --family or --poly"),
 ])
 def test_malformed_arguments_exit_2_on_one_error_line(argv, message):
     assert _main(argv, "") == (2, "", f"error: {message}\n")

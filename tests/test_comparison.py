@@ -7,8 +7,7 @@ import pytest
 
 from dbrackets import (Bimodule, CPoly, DoubleBracket, FreeAlgebra,
                        eval_bracket, eval_nc, induce, jacobi_sweep, jacobiator,
-                       matrix_tensor_bracket, mult_bracket, necklace_project,
-                       weak_jacobiator)
+                       matrix_tensor_bracket, mult_bracket, weak_jacobiator)
 
 from helpers import monomials, outer_poisson, right_const, two_gen, xy
 

@@ -17,12 +17,10 @@ from dbrackets import (AlgEndo, Bimodule, BimodKind, DoubleBracket,
                        Tensor3, TwistPairAuto, apply_endo_tensor2,
                        apply_equivalence, bracket_left, bracket_pair_left,
                        bracket_pair_right, bracket_right, bullet_bracket,
-                       check_antisymmetry, check_morphism, eval_bracket,
-                       is_poisson, is_weak_poisson, jacobiator,
-                       lie_on_necklaces, loday_defect, mult_bracket,
-                       necklace_project, swap_bimodule, swap_equivalent,
-                       sym_jacobi_defect, tensor3_perm, twisted_jacobiator,
-                       weak_jacobiator)
+                       check_antisymmetry, eval_bracket, is_poisson,
+                       is_weak_poisson, jacobiator, mult_bracket,
+                       swap_bimodule, swap_equivalent, sym_jacobi_defect,
+                       tensor3_perm, weak_jacobiator)
 from dbrackets import dbracket
 from dbrackets.bimodule import act
 from dbrackets.dbracket import JacVerdict, _eval_words
@@ -33,6 +31,8 @@ from helpers import (bracket_corpus, letter_pair_eval, monomials,
                      outer_poisson, reference_act, reference_eval,
                      reference_pair, right_const, triples, twisted_ctr,
                      two_gen, xy)
+from identities import (apply_slotwise, check_morphism, lie_on_necklaces,
+                        loday_defect, necklace_project, twisted_jacobiator)
 
 
 # -- Leibniz extension -------------------------------------------------------
@@ -77,6 +77,17 @@ def test_antisymmetry_propagates_from_table():
         assert check_antisymmetry(db, 3).holds
     zero = DoubleBracket.zero(Bimodule("outer", alg=A))
     assert check_antisymmetry(zero, 2).holds
+
+
+def test_unchecked_table_prints_and_fails_antisymmetry():
+    A = two_gen()
+    x, _ = xy(A)
+    raw = DoubleBracket.from_full_table_unchecked(
+        Bimodule("outer", alg=A), {("x", "y"): A.t2(x, A.one())})
+    assert repr(raw) == "<DoubleBracket outer {<x,y> = x (x) 1}>"
+    assert str(check_antisymmetry(raw)) == (
+        "cyclic antisymmetry FAILS at (x, y): "
+        "<<a,b>> = x (x) 1 but -swap(<<b,a>>) = 0")
 
 
 def test_table_invariant_enforced():
@@ -1534,19 +1545,12 @@ def test_non_morphism_detected():
     assert not check_morphism(phi, db1, db2)
 
 
-def test_morphism_kind_mismatch_rejected():
-    A = two_gen()
-    with pytest.raises(ValueError):
-        check_morphism(AlgEndo.identity(A), right_const(A), outer_poisson(A))
-
-
 def test_morphism_transports_jacobiator():
-    from dbrackets.freealg import _apply_slotwise
     phi, db1, db2 = _collapse_fixture()
     A = db1.alg
     for a, b, c in triples(A, 2):
         lhs = jacobiator(db2, phi(a), phi(b), phi(c))
-        assert lhs == _apply_slotwise(phi, jacobiator(db1, a, b, c), (0, 1, 2))
+        assert lhs == apply_slotwise(phi, jacobiator(db1, a, b, c), (0, 1, 2))
 
 
 def test_surjective_morphism_pushes_weak_poisson_forward():
@@ -1781,19 +1785,6 @@ def test_maps_refuse_tensors_of_another_algebra():
     phi = AlgEndo(C, {"a": b, "b": a, "c": c})
     with pytest.raises(ValueError, match="mismatched generator tables"):
         apply_endo_tensor2(phi, A.t2(x, y))
-    for side in ("left", "right"):
-        with pytest.raises(ValueError, match="mismatched generator tables"):
-            twisted_jacobiator(outer_poisson(A), side, phi, x, y, x)
-    # a map between two algebras cannot twist one slot and keep the others
-    psi, db1, _ = _collapse_fixture()
-    with pytest.raises(ValueError, match="must map every slot"):
-        twisted_jacobiator(db1, "left", psi, x, y, x)
-
-
-def test_lie_on_necklaces_kind_check():
-    A = two_gen()
-    with pytest.raises(ValueError):
-        lie_on_necklaces(right_const(A), A.necklace("x"), A.necklace("y"))
 
 
 def test_bullet_bracket_example_and_antisymmetry():

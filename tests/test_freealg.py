@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from dbrackets import (AlgEndo, FreeAlgebra, NCPoly, Necklace, apply_endo,
-                       necklace_project, permute_args, tensor3_perm)
+                       permute_args, tensor3_perm)
 from dbrackets.freealg import (P12, P123, P132, P13, P23, P_ID, Tensor2,
                                Tensor3, _first_failure, _tensor_order)
 
 from helpers import two_gen, xy
+from identities import necklace_project
 
 
 def test_monomial_product_concatenates():

@@ -5,9 +5,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from dbrackets import (AlgEndo, Bimodule, DoubleBracket, FreeAlgebra, NCPoly,
-                       Tensor2, check_antisymmetry, eval_bracket,
-                       necklace_project, tensor3_perm)
+                       Tensor2, check_antisymmetry, eval_bracket, tensor3_perm)
 from dbrackets.freealg import P12, P123, P132, P13, P23, P_ID
+
+from identities import necklace_project
 
 ALG = FreeAlgebra(["x", "y"])
 
