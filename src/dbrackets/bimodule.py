@@ -73,9 +73,6 @@ class Bimodule:
     def act(self, a: NCPoly, d: Tensor2, b: NCPoly) -> Tensor2:
         return act(self, a, d, b)
 
-    def swap(self) -> "Bimodule":
-        return swap_bimodule(self)
-
     def __eq__(self, other):
         return (isinstance(other, Bimodule) and self.kind == other.kind
                 and self.alpha == other.alpha and self.beta == other.beta)

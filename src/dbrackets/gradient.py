@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bimodule import Bimodule, BimodKind
-from .dbracket import DoubleBracket, JacVerdict, eval_bracket, is_poisson
+from .dbracket import (DoubleBracket, JacVerdict, _relabelling_blocks,
+                       eval_bracket, is_poisson)
 from .freealg import FreeAlgebra, NCPoly, Tensor2, _power_breach, _tadd
 
 # The longest word that ``symmetrize`` sums over every ordering of its
@@ -200,13 +201,32 @@ def classify(alg: FreeAlgebra, family: str, **kwargs) -> ClassifyReport:
     The Poisson decision is exact (generator triples suffice on the
     untwisted outer bimodule); the report also states whether the potential
     is a Casimir of its own bracket.
+
+    A Casimir defect <<f, g_k>> is evaluated unless an earlier generator
+    of its relabelling block (``dbracket._relabelling_blocks``) has a zero
+    defect.  Let the transposition tau join g_h and g_k in a block:
+    <<tau a, tau b>> = s (tau (x) tau)<<a, b>> on generators, hence on all
+    of A by the outer Leibniz rules.  The table's entries are
+    sum_m epsilon(i, j, m) d_m f, so comparing table[(tau i, tau j)] with
+    s (tau (x) tau) table[(i, j)] gives d_m(f + s tau f) = 0 for every m,
+    and only constants have zero double derivatives: tau f = -s f + c.
+    Then -s <<f, tau g>> = <<tau f, tau g>> = s (tau (x) tau)<<f, g>>,
+    that is <<f, tau g>> = -(tau (x) tau)<<f, g>>.  The transpositions
+    that join a block connect all its generators, so one zero defect makes
+    the whole block's zero.  Nonzero defects are all evaluated, so the
+    report is the same as with every generator evaluated.
     """
     f = family_polynomial(alg, family, **kwargs)
     db = gradient_bracket(f)
     verdict = is_poisson(db)
-    defects = {}
+    blocks = _relabelling_blocks(db)
+    zero, defects = set(), {}
     for k in range(3):
+        if zero.intersection(blocks[k]):
+            continue
         d = eval_bracket(db, f, alg.gen(k))
-        if not d.is_zero():
+        if d.is_zero():
+            zero.add(k)
+        else:
             defects[alg.names[k]] = d
     return ClassifyReport(family, f, verdict, not defects, defects)

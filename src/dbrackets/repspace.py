@@ -74,9 +74,6 @@ class MatPoly:
             self.rows[i][i].add_into(acc)
         return CPoly(acc)
 
-    def __eq__(self, other):
-        return isinstance(other, MatPoly) and self.n == other.n and self.rows == other.rows
-
 
 # one memo per (generator names, n): the unit, each generator's generic
 # matrix, and the product along every word evaluated (never along its

@@ -1,12 +1,13 @@
 """Background identities of double brackets, kept as test oracles.
 
-Each function checks or computes one identity from M. Van den Bergh,
-"Double Poisson algebras" (Trans. AMS 360, 2008): morphisms of double
-brackets and of the induced brackets on Rep(A, n), the Loday defects of
-the multiplication bracket, the twisted Jacobiators and the Lie bracket on
-cyclic words.  No command, demo or benchmark job reaches them, so the
-package does not export them.  None checks its preconditions: each
-docstring states what its callers must ensure.
+Each function but the last checks or computes one identity from M. Van
+den Bergh, "Double Poisson algebras" (Trans. AMS 360, 2008): morphisms of
+double brackets and of the induced brackets on Rep(A, n), the Loday
+defects of the multiplication bracket, the twisted Jacobiators and the Lie
+bracket on cyclic words.  The last, ``casimir_defects``, is the naive
+Casimir report of a gradient potential.  No command, demo or benchmark job
+reaches them, so the package does not export them.  None checks its
+preconditions: each docstring states what its callers must ensure.
 """
 
 import functools
@@ -113,3 +114,13 @@ def lie_on_necklaces(db, na, nb) -> dict:
     depend on the chosen lifts and is antisymmetric.
     """
     return necklace_project(mult_bracket(db, na.lift(), nb.lift()))
+
+
+def casimir_defects(db, f) -> dict:
+    """The nonzero <<f, g>> over every generator g, by name: the Casimir
+    report of ``gradient.classify`` without its block rule.  db must be
+    the gradient bracket of f."""
+    alg = db.alg
+    defects = {name: eval_bracket(db, f, alg.gen(k))
+               for k, name in enumerate(alg.names)}
+    return {name: d for name, d in defects.items() if not d.is_zero()}

@@ -291,6 +291,21 @@ def test_undeclared_generators_are_named_where_they_stand(line):
         "undeclared generator 'z'\n", 2)
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    ("algebra { gens: x, y }\nbracket { <x,y> = 1 (x) 1 ; <x,y> = x (x) 1 }",
+     2, 29, "duplicate bracket entry <x,y>"),
+    ("algebra { gens: x, y }\nbimodule { kind: outer ; gamma: x -> y }",
+     2, 26, "unknown bimodule field 'gamma'"),
+    # the block is read to its end before the kind is missed
+    ("algebra { gens: x, y }\nbimodule { alpha: x -> y, y -> x }",
+     3, 1, "bimodule block needs a kind"),
+    ("algebra { names: x, y }", 1, 11, "algebra block declares 'gens'"),
+])
+def test_declaration_errors_name_their_position(text, line, column, message):
+    assert run_text(text + "\n") == (
+        f"error: line {line}, column {column}: {message}\n", 2)
+
+
 @pytest.mark.parametrize("command, column, message", [
     ("frob x", 1, "unknown command 'frob'"),
     ("  rep induce", 3, "rep induce needs the matrix size"),

@@ -17,7 +17,7 @@ from dbrackets import (AlgEndo, Bimodule, BimodKind, DoubleBracket,
                        Tensor3, TwistPairAuto, apply_endo_tensor2,
                        apply_equivalence, bracket_left, bracket_pair_left,
                        bracket_pair_right, bracket_right, bullet_bracket,
-                       check_antisymmetry, eval_bracket, is_poisson,
+                       check_antisymmetry, eval_bracket, induce, is_poisson,
                        is_weak_poisson, jacobiator, mult_bracket,
                        swap_bimodule, swap_equivalent, sym_jacobi_defect,
                        tensor3_perm, weak_jacobiator)
@@ -88,6 +88,18 @@ def test_unchecked_table_prints_and_fails_antisymmetry():
     assert str(check_antisymmetry(raw)) == (
         "cyclic antisymmetry FAILS at (x, y): "
         "<<a,b>> = x (x) 1 but -swap(<<b,a>>) = 0")
+
+
+def test_reprs_name_maps_necklaces_and_structures():
+    A = two_gen()
+    x, y = xy(A)
+    alpha = AlgEndo(A, {"x": y, "y": x})
+    assert repr(SwapAuto()) == "<SwapAuto>"
+    assert repr(TwistPairAuto(alpha, alpha)) == \
+        "<TwistPairAuto <AlgEndo x -> y, y -> x>>"
+    assert repr(Necklace(A, (1, 0, 0))) == "<Necklace [x*x*y]>"
+    assert repr(induce(outer_poisson(A), 2)) == \
+        "<PoissonStructure outer n=2 on FreeAlgebra(x, y)>"
 
 
 def test_table_invariant_enforced():

@@ -45,6 +45,13 @@ CASES = {
         ["gradient", "classify", "--poly", SYM_X1X1X2X3], 1),
     "gradient-custom-sym-x1x1x2x3-kv": (
         ["--format", "kv", "gradient", "classify", "--poly", SYM_X1X1X2X3], 1),
+    # blocks {x1, x3} and {x2}: the x1 defect is zero, so x3 is not
+    # evaluated, and the nonzero x2 defect is printed
+    "gradient-custom-x1x1-x3x3": (
+        ["gradient", "classify", "--poly", "x1*x1 + x3*x3"], 1),
+    "gradient-custom-x1x1-x3x3-kv": (
+        ["--format", "kv", "gradient", "classify", "--poly",
+         "x1*x1 + x3*x3"], 1),
     "ybe-entry-jacobi-standard-2": (
         ["ybe", "entry-jacobi", "--standard", "2"], 1),
     # e12 (x) e21 read from a tensor file: a nonzero defect in the +/-

@@ -5,13 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, NCPoly,
+from dbrackets import (Bimodule, DoubleBracket, FreeAlgebra, NCPoly, Tensor2,
                        bracket_left, check_antisymmetry, classify,
                        double_derivation, eval_bracket, family_polynomial,
                        gradient_bracket, gradient_gen_table,
                        is_fully_noncommutative, is_poisson, jacobiator,
                        symmetrize)
+from dbrackets import gradient
+from dbrackets.dbracket import _relabelling_blocks
+from dbrackets.gradient import ClassifyReport
+
+from identities import casimir_defects
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +265,110 @@ def test_leading_part_verdicts(A):
     f = top + A.gen(2).scale(5)
     assert is_poisson(gradient_bracket(top)).status == "NotPoisson"
     assert classify(A, "custom", poly=f).verdict.status == "NotPoisson"
+
+
+def test_family_refusals(A):
+    for kwargs in ({"degree": 3}, {"gen": "x1"}):
+        with pytest.raises(ValueError,
+                           match=r"^monomial family needs gen and degree$"):
+            family_polynomial(A, "monomial", **kwargs)
+    for coeffs in (None, [1, 2, 3]):
+        with pytest.raises(ValueError,
+                           match=r"^linear family needs four coefficients"):
+            family_polynomial(A, "linear", coeffs=coeffs)
+
+
+# -- the Casimir phase: one zero defect per relabelling block ------------------
+
+_B = FreeAlgebra(["x1", "x2", "x3"])
+
+
+def _sym(*letters):
+    return symmetrize(_B, letters)
+
+
+def _relabel(p, sigma):
+    """p with each letter g replaced by sigma[g]: an NCPoly or a Tensor2."""
+    def word(w):
+        return tuple(sigma[g] for g in w)
+    if isinstance(p, Tensor2):
+        return Tensor2(p.alg, {tuple(map(word, key)): c
+                               for key, c in p.terms.items()})
+    return NCPoly(p.alg, {word(w): c for w, c in p.terms.items()})
+
+
+def _sign(sigma):
+    return (-1) ** sum(sigma[i] > sigma[j]
+                       for i, j in itertools.combinations(range(3), 2))
+
+
+@st.composite
+def fnc_potentials(draw):
+    """Fully non-commutative potentials of degree <= 4, often averaged over
+    a transposition or over all of S_3 with the trivial or the sign
+    character, so that relabelling blocks of two or three generators are
+    common; the defects in a block may be zero or not."""
+    g = _B.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        letters = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+        g = g + symmetrize(_B, letters).scale(draw(st.integers(-3, 3)))
+    group = draw(st.sampled_from(
+        [[(0, 1, 2)], [(0, 1, 2), (1, 0, 2)], [(0, 1, 2), (0, 2, 1)],
+         [(0, 1, 2), (2, 1, 0)], list(itertools.permutations(range(3)))]))
+    character = draw(st.sampled_from([lambda sigma: 1, _sign]))
+    f = _B.zero()
+    for sigma in group:
+        f = f + _relabel(g, sigma).scale(character(sigma))
+    return f + _B.one().scale(draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(fnc_potentials())
+@example(_sym(0, 0, 1, 2))  # block {x2, x3}, nonzero defects
+def test_casimir_defects_in_a_block_determine_each_other(f):
+    """<<f, x_k>> = -(tau (x) tau)<<f, x_h>> for h, k in one block."""
+    db = gradient_bracket(f)
+    blocks = _relabelling_blocks(db)
+    for h, k in itertools.combinations(range(3), 2):
+        if k in blocks[h]:
+            tau = [k if g == h else h if g == k else g for g in range(3)]
+            assert eval_bracket(db, f, _B.gen(k)) == \
+                -_relabel(eval_bracket(db, f, _B.gen(h)), tau)
+
+
+_CLASSIFY_POTENTIALS = {
+    "sum_power_4": sum_power(_B, 4),
+    "x2^8": _B.gen(1) ** 8,
+    "sym_x1x1x2x3": _sym(0, 0, 1, 2).scale(Fraction(-3, 4)),
+    "x1x1+x3x3": _sym(0, 0) + _sym(2, 2),
+    "x1x1-x3x3": _sym(0, 0) - _sym(2, 2),
+    "sym_x1x2x3": _sym(0, 1, 2),
+    "x1x2x2-x3x2x2": _sym(0, 1, 1) - _sym(2, 1, 1) + _B.gen(1),
+    "x1^3+x2^3+x3^3": _sym(0, 0, 0) + _sym(1, 1, 1) + _sym(2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLASSIFY_POTENTIALS))
+def test_classify_matches_three_evaluations(name):
+    f = _CLASSIFY_POTENTIALS[name]
+    report = classify(_B, "custom", poly=f)
+    defects = casimir_defects(gradient_bracket(f), f)
+    assert report.casimir_defects == defects
+    assert str(report) == str(ClassifyReport(
+        "custom", f, report.verdict, not defects, defects))
+
+
+@pytest.mark.parametrize("f, calls", [
+    (sum_power(_B, 4), 1),  # one block {x1, x2, x3}, a zero defect
+    (_B.gen(1) ** 8, 2),  # blocks {x1, x3} and {x2}, all zero
+    (_sym(0, 0, 1, 2), 3),  # blocks {x1} and {x2, x3}, all nonzero
+])
+def test_casimir_evaluations_per_block(monkeypatch, f, calls):
+    seen = []
+
+    def counting(db, a, b):
+        seen.append(b)
+        return eval_bracket(db, a, b)
+    monkeypatch.setattr(gradient, "eval_bracket", counting)
+    classify(_B, "custom", poly=f)
+    assert len(seen) == calls

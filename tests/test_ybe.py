@@ -40,6 +40,8 @@ def test_standard_r_values():
     assert r.terms == {(1, 2, 2, 1): Fraction(1), (1, 1, 1, 1): Fraction(1, 2),
                        (2, 2, 2, 2): Fraction(1, 2)}
     assert standard_r(1).terms == {(1, 1, 1, 1): Fraction(1, 2)}
+    with pytest.raises(ValueError, match=r"^N must be >= 1$"):
+        standard_r(0)
 
 
 def test_casimir_values_and_swap_invariance():
