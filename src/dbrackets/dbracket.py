@@ -67,18 +67,16 @@ class DoubleBracket:
             for j in range(alg.ngens):
                 table.setdefault((i, j), zero)
         self.gen_table = table
-        # True once validated; an unchecked table is checked on demand
-        # (``_is_antisymmetric``)
-        self._antisymmetric = validate or None
+        # is the table cyclically antisymmetric, <<g_j, g_i>> =
+        # -swap(<<g_i, g_j>>) on every pair?  True by validation
+        self._antisymmetric = validate or all(
+            d == -table[(j, i)].swap() for (i, j), d in table.items())
         self._star = swap_bimodule(bimodule)
         self._eval_cache = {}
         self._jac_cache = {}
         twin, self._inv = _integer_twin(table)
-        self._twin = None
-        if twin is not None:
-            # D times the table, so antisymmetric exactly when the table is
-            self._twin = DoubleBracket(bimodule, twin, validate=False)
-            self._twin._antisymmetric = self._antisymmetric
+        self._twin = (None if twin is None
+                      else DoubleBracket(bimodule, twin, validate=False))
 
     @classmethod
     def from_pairs(cls, bimodule: Bimodule, entries: dict) -> "DoubleBracket":
@@ -443,7 +441,7 @@ def _word_triples(alg, degree_bound):
 
 # The Jacobiator form that vanishes on all of A once it vanishes on
 # generator triples, per untwisted kind and on a cyclically antisymmetric
-# table (``_is_antisymmetric``): it is a derivation in each slot there.
+# table (``_antisymmetric``): it is a derivation in each slot there.
 # None is the Jacobiator itself, a pair names the (sigma, sigma') of a
 # weak Jacobiator; with ``_WEAK_CLASS`` the right kind is exact for
 # (12)(12), (13)(13), (23)(23) and the left for (12)(13), (13)(23), (23)(12).
@@ -460,19 +458,6 @@ _WEAK_CLASS = {("13", "13"): ("12", "12"), ("23", "23"): ("12", "12"),
                ("13", "12"): ("12", "23"), ("23", "13"): ("12", "23")}
 
 _TRANSPOSITION_NAME = {p: name for name, p in TRANSPOSITIONS.items()}
-
-
-def _is_antisymmetric(db: DoubleBracket) -> bool:
-    """Is the generator table cyclically antisymmetric, <<g_j, g_i>> =
-    -swap(<<g_i, g_j>>) on every pair?  Decided once per bracket: the
-    validating constructors guarantee it, an integer twin takes the answer
-    of its table's source, and an unchecked table is compared entry by
-    entry at the first call."""
-    if db._antisymmetric is None:
-        table = db.gen_table
-        db._antisymmetric = all(d == -table[(j, i)].swap()
-                                for (i, j), d in table.items())
-    return db._antisymmetric
 
 
 def _maps_table_to_signed_self(table: dict, tau: list) -> bool:
@@ -539,7 +524,7 @@ def is_poisson(db: DoubleBracket, degree_bound: int = 4) -> JacVerdict:
 
     Exact over generator triples where ``_EXACT_FORM`` names the Jacobiator
     (the untwisted outer and inner kinds) and the table is cyclically
-    antisymmetric (``_is_antisymmetric``); elsewhere a sweep of word
+    antisymmetric (``_antisymmetric``); elsewhere a sweep of word
     triples up to the bound, VerifiedUpToDegree unless a witness appears.
 
     Both sweeps evaluate one triple per rotation class, the first in sweep
@@ -593,7 +578,7 @@ def _verdict(db: DoubleBracket, pair, degree_bound: int) -> JacVerdict:
     (``_WEAK_CLASS``), the same function, so the witness and defect are
     those of the requested pair, and the verdict keeps its names.  A sweep
     is exact only on an untwisted bracket whose table is cyclically
-    antisymmetric (``_is_antisymmetric``): the Leibniz extension of an
+    antisymmetric (``_antisymmetric``): the Leibniz extension of an
     unchecked table need not make the exact form a derivation in each
     slot, so it may vanish on generator triples and not on words.
 
@@ -623,7 +608,7 @@ def _verdict(db: DoubleBracket, pair, degree_bound: int) -> JacVerdict:
     db, inv = _integral(db)
     alg = db.alg
     exact = (db.bimodule.is_untwisted() and _EXACT_FORM[db.kind()] == form
-             and _is_antisymmetric(db))
+             and db._antisymmetric)
     if exact:
         triples = (((i,), (j,), (k,)) for i, j, k in _orbit_firsts(
             _gen_triples(alg), _relabelling_blocks(db), form is None))

@@ -17,6 +17,7 @@ by cyclic antisymmetry; an explicitly conflicting entry is an error.
 
 from __future__ import annotations
 
+import re
 import shlex
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,60 +57,40 @@ class Token:
     pos: int
 
 
+# one alternative per token kind, tried in order; \w is str.isalnum or "_",
+# so a NAME match that starts with neither a letter nor "_" ("²", "½") is
+# refused, as is any other character
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("BREAK", f"\r\n|[{_LINE_BREAKS}]"),
+    ("BLANK", "[ \t]+"),
+    ("COMMENT", f"#[^{_LINE_BREAKS}]*"),
+    ("TENSOR", r"\(x\)"),
+    ("NUMBER", "[0-9]+"),  # \d and str.isdigit take other scripts' digits
+    ("NAME", r"\w+"),
+    ("SYMBOL", r"->|[{}()<>,;:=+\-*^/]"),
+    ("ERROR", "."))))
+
+
 def tokenize_lazily(text: str):
     """Yield tokens on demand, so trailing free-form command lines are
     never lexed once the declaration blocks have been consumed.  Positions
-    count from the text's ``at`` (line, column), if it has one (_Arg)."""
-    i, (line, col) = 0, getattr(text, "at", (1, 1))
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _LINE_BREAKS:
-            i += 2 if text.startswith("\r\n", i) else 1
-            line += 1
-            col = 1
+    count from the text's ``at`` (line, column), if it has one (_Arg); a
+    comment takes no columns."""
+    line, col = getattr(text, "at", (1, 1))
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "BREAK":
+            line, col = line + 1, 1
             continue
-        if ch in " \t":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] not in _LINE_BREAKS:
-                i += 1
-            continue
-        if text.startswith("(x)", i):
-            yield Token("TENSOR", "(x)", line, col, i)
-            i += 3
-            col += 3
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield Token("NAME", text[i:j], line, col, i)
-            col += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":  # str.isdigit would take other scripts' digits
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            yield Token("NUMBER", text[i:j], line, col, i)
-            col += j - i
-            i = j
-            continue
-        if text.startswith("->", i):
-            yield Token("->", "->", line, col, i)
-            i += 2
-            col += 2
-            continue
-        if ch in "{}()<>,;:=+-*^/":
-            yield Token(ch, ch, line, col, i)
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    yield Token("EOF", "", line, col, n)
+        if kind == "ERROR" or kind == "NAME" and not (
+                value[0].isalpha() or value[0] == "_"):
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+        if kind not in ("BLANK", "COMMENT"):  # a symbol's kind is its text
+            yield Token(value if kind == "SYMBOL" else kind, value, line, col,
+                        m.start())
+        if kind != "COMMENT":
+            col += len(value)
+    yield Token("EOF", "", line, col, len(text))
 
 
 class _Cursor:

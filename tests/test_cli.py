@@ -300,6 +300,10 @@ def test_undeclared_generators_are_named_where_they_stand(line):
     ("algebra { gens: x, y }\nbimodule { alpha: x -> y, y -> x }",
      3, 1, "bimodule block needs a kind"),
     ("algebra { names: x, y }", 1, 11, "algebra block declares 'gens'"),
+    ("algebra { gens: x, x }", 1, 11,
+     "duplicate generator names: ('x', 'x')"),
+    ("algebra { gens: x, y }\nbracket { <x,y> = ½ (x) 1 }",
+     2, 19, "unexpected character '½'"),
 ])
 def test_declaration_errors_name_their_position(text, line, column, message):
     assert run_text(text + "\n") == (
@@ -630,6 +634,26 @@ def test_argument_parse_errors_point_into_the_session():
         f"parentheses nested more than {_MAX_NESTING} deep")
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    # a name starts with a character that passes str.isalpha, or "_"; the
+    # regular expression \w takes these digits and numerals too
+    ("x + ²", 1, 5, "unexpected character '²'"),
+    ("x*½", 1, 3, "unexpected character '½'"),
+    ("y^Ⅷ", 1, 3, "unexpected character 'Ⅷ'"),
+    # a name goes on with the characters that pass str.isalnum
+    ("x²*y", 1, 1, "undeclared generator 'x²'"),
+    # a comment takes no columns
+    ("x + # c", 1, 5, "expected a polynomial, found ''"),
+    ("x +   # c", 1, 7, "expected a polynomial, found ''"),
+    ("x\r\n+ z", 2, 3, "undeclared generator 'z'"),
+])
+def test_tokenizer_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_poly(two_gen(), text)
+    assert (err.value.line, err.value.col, err.value.reason) == (
+        line, column, message)
+
+
 def test_tokenizer_breaks_lines_where_splitlines_does():
     breaks = [c for c in map(chr, range(0x110000))
               if len(f"a{c}b".splitlines()) == 2]
@@ -657,6 +681,10 @@ def test_session_positions_with_other_line_endings(newline):
 _BAD_INTEGERS = [("+3", "expected 'NUMBER', found '+'", 0),
                  ("1_0", "expected 'EOF', found '_0'", 1),
                  ("٢", "unexpected character '٢'", 0),
+                 # digits and numerals that are not letters start no name
+                 ("²", "unexpected character '²'", 0),
+                 ("½", "unexpected character '½'", 0),
+                 ("Ⅷ", "unexpected character 'Ⅷ'", 0),
                  ("abc", "expected 'NUMBER', found 'abc'", 0)]
 
 

@@ -1300,7 +1300,7 @@ def test_exact_verdicts_need_an_antisymmetric_table():
                for t in itertools.product(A.gens(), repeat=3))
     defect = A.t3(one, x, x).scale(2) - A.t3(x, one, x).scale(2)
     assert weak_jacobiator(db, "12", "12", x, x, x * x) == defect
-    assert db._antisymmetric is None  # checked at the first exact question
+    assert db._antisymmetric is False  # decided when the bracket is built
     for s in ("12", "13", "23"):
         v = is_weak_poisson(db, s, s)
         assert (str(v), v.witness, v.defect) == (
@@ -1315,8 +1315,8 @@ def test_exact_verdicts_need_an_antisymmetric_table():
     assert is_weak_poisson(same, "13", "13") == JacVerdict(
         "WeakPoisson", "13", "13")
     assert same._antisymmetric is True
-    # a rational table's sweeps run on its integer twin, which takes the
-    # answer of its source or, unchecked, finds the same one
+    # a rational table's sweeps run on its integer twin, which finds the
+    # same answer from its own table
     half = DoubleBracket(m, {("x", "y"): A.unit2().scale(Fraction(1, 2))})
     assert half._twin._antisymmetric is True
     raw_half = DoubleBracket.from_full_table_unchecked(

@@ -41,6 +41,11 @@ def test_zero_pruning_and_equality():
     assert (x - x).is_zero()
 
 
+def test_algebras_are_equal_and_hash_alike_by_their_names():
+    assert FreeAlgebra(["x", "y"]) == two_gen() != FreeAlgebra(["y", "x"])
+    assert len({FreeAlgebra(["x", "y"]), two_gen()}) == 1
+
+
 def test_mismatched_generator_tables_rejected():
     A, B = FreeAlgebra(["x", "y"]), FreeAlgebra(["u", "v"])
     with pytest.raises(ValueError):
